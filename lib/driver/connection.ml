@@ -6,34 +6,23 @@ module Link = Sloth_net.Link
 module Vclock = Sloth_net.Vclock
 module Stats = Sloth_net.Stats
 module Fault = Sloth_net.Fault
+module Exactly_once = Sloth_server.Exactly_once
 
 module Retry_policy = Sloth_net.Retry_policy
 
 type breaker = Closed | Open_until of float | Half_open
 
-(* The server-side engine behind this connection: one database, or a
-   sharded deployment routing through two-phase commit.  The protocol
-   machinery (retries, idempotency, crash simulation) is identical — only
-   the execution entry points dispatch. *)
-type backend = Direct of Db.t | Sharded of Shard.t
-
 type t = {
-  eng : backend;
+  eng : Shard.t;
+      (* the server-side engine: a sharded deployment, or a one-shard
+         router over a plain database *)
   link : Sloth_net.Link.t;
   mutable slots : float array;
       (* async pool: when each pooled connection becomes free *)
   mutable retry : Retry_policy.t;
   mutable breaker : breaker;
   mutable consecutive_failures : int;
-  applied : (string, Db.outcome list) Hashtbl.t;
-      (* server-side idempotency table: token -> outcomes of the already
-         processed batch, replayed instead of re-executed on retry *)
-  applied_order : string Queue.t;  (* FIFO of cached tokens, for eviction *)
-  mutable applied_capacity : int;
-  admitted : (string, unit) Hashtbl.t;
-      (* every token the server ever accepted (cheap: strings only) — lets
-         it distinguish "brand-new token" from "token whose cached outcome
-         was evicted", which must NOT be silently re-applied *)
+  once : Exactly_once.t;  (* the server's volatile idempotency window *)
   jitter_rng : Random.State.t;
 }
 
@@ -43,7 +32,7 @@ exception Retries_exhausted of { attempts : int; last : string }
 let app_cost_per_stmt_ms = ref 1.0
 let app_cost_per_row_ms = ref 0.02
 
-let create_backend eng link =
+let create_sharded eng link =
   {
     eng;
     link;
@@ -51,51 +40,15 @@ let create_backend eng link =
     retry = Retry_policy.default;
     breaker = Closed;
     consecutive_failures = 0;
-    applied = Hashtbl.create 16;
-    applied_order = Queue.create ();
-    applied_capacity = 512;
-    admitted = Hashtbl.create 16;
+    once = Exactly_once.create ~window:512;
     jitter_rng = Random.State.make [| 0x5107 |];
   }
 
-let create db link = create_backend (Direct db) link
-let create_sharded shard link = create_backend (Sharded shard) link
-
-(* Engine dispatch. *)
-let eng_exec t stmt =
-  match t.eng with Direct db -> Db.exec db stmt | Sharded s -> Shard.exec s stmt
-
-let eng_exec_batch t stmts =
-  match t.eng with
-  | Direct db -> Db.exec_batch db stmts
-  | Sharded s -> Shard.exec_batch s stmts
-
-let eng_atomically ?token t f =
-  match t.eng with
-  | Direct db -> Db.atomically ?token db f
-  | Sharded s -> Shard.atomically ?token s f
-
-let eng_token_applied t k =
-  match t.eng with
-  | Direct db -> Db.token_applied db k
-  | Sharded s -> Shard.token_applied s k
-
-let eng_cost t =
-  match t.eng with Direct db -> Db.cost_model db | Sharded s -> Shard.cost_model s
-
-let eng_crash_restart t =
-  match t.eng with
-  | Direct db -> Db.crash_restart db
-  | Sharded s -> Shard.crash_restart s
-
+let create db link = create_sharded (Shard.of_database db) link
+let fixed_ms t = (Shard.cost_model t.eng).Cost.fixed_ms
 let link t = t.link
 let clock t = Sloth_net.Link.clock t.link
 let stats t = Sloth_net.Link.stats t.link
-
-let database t =
-  match t.eng with Direct db -> db | Sharded s -> Shard.shard_db s 0
-
-let sharding t = match t.eng with Direct _ -> None | Sharded s -> Some s
 let retry_policy t = t.retry
 let set_retry_policy t p = t.retry <- p
 
@@ -105,36 +58,15 @@ let breaker_state t =
   | Open_until _ -> `Open
   | Half_open -> `Half_open
 
-let idempotency_window t = t.applied_capacity
-
-let set_idempotency_window t n =
-  if n < 1 then invalid_arg "Connection.set_idempotency_window";
-  t.applied_capacity <- n;
-  while Queue.length t.applied_order > n do
-    Hashtbl.remove t.applied (Queue.pop t.applied_order)
-  done
-
-(* FIFO eviction keeps the outcome cache bounded; [admitted] keeps only the
-   token strings, so an evicted token retransmitted later is answered with
-   an error instead of being silently applied a second time. *)
-let remember_applied t k outcomes =
-  if not (Hashtbl.mem t.applied k) then begin
-    Queue.push k t.applied_order;
-    while Queue.length t.applied_order > t.applied_capacity do
-      Hashtbl.remove t.applied (Queue.pop t.applied_order)
-    done
-  end;
-  Hashtbl.replace t.applied k outcomes;
-  Hashtbl.replace t.admitted k ()
+let idempotency_window t = Exactly_once.window t.once
+let set_idempotency_window t n = Exactly_once.set_window t.once n
 
 (* The server process dies: its idempotency cache is volatile and vanishes
    with it; the database recovers from checkpoint + WAL (or is wiped, if
    durability is off). *)
 let server_crash t =
-  eng_crash_restart t;
-  Hashtbl.reset t.applied;
-  Queue.clear t.applied_order;
-  Hashtbl.reset t.admitted
+  Shard.crash_restart t.eng;
+  Exactly_once.reset t.once
 
 let request_bytes stmts =
   List.fold_left
@@ -189,30 +121,30 @@ let backoff t attempt =
   Vclock.advance (clock t) Vclock.Network (capped +. jit)
 
 (* One logical round trip under the installed fault plan, retried per the
-   policy.  [run ~observed] performs the server-side work and returns
-   [(outcomes, db_ms, rows, response_bytes)]; it is called with
-   [observed:false] when the response leg fails after the server processed
-   the request — the work happens (and any idempotency token is recorded)
-   but the client sees only its timeout.  [partial k] simulates the server
-   dying between statement [k] and [k+1] of the batch: the statements run
-   inside a transaction that is never committed, so nothing reaches the
-   WAL.  A [Db.Sql_error] from [run] is a real server answer, not an
-   infrastructure fault: it is never retried and costs the round trip plus
-   [error_db_ms]. *)
+   policy.  [run ()] performs the server-side work and returns
+   [(reply, db_ms, rows, response_bytes)]; the round trip returns the
+   reply.  [run] is also called when the response leg fails after the
+   server processed the request — the work happens (and any idempotency
+   token is recorded) but the client sees only its timeout.  [partial k]
+   simulates the server dying between statement [k] and [k+1] of the
+   batch: the statements run inside a transaction that is never committed,
+   so nothing reaches the WAL.  A [Db.Sql_error] from [run] is a real
+   server answer, not an infrastructure fault: it is never retried and
+   costs the round trip plus [error_db_ms]. *)
 let resilient ?(partial = fun _ -> ()) t fault ~queries ~req_bytes ~error_db_ms
     ~run =
   let rec go attempt =
     breaker_check t ~attempt;
     match Fault.decide fault with
     | Fault.Deliver extra_ms -> (
-        match run ~observed:true with
-        | outcomes, db_ms, rows, resp_bytes ->
+        match run () with
+        | reply, db_ms, rows, resp_bytes ->
             Link.deliver t.link ~queries ~bytes:(req_bytes + resp_bytes)
               ~extra_ms;
             breaker_success t;
             charge_db t db_ms;
             charge_app t ~stmts:queries ~rows;
-            outcomes
+            reply
         | exception Db.Sql_error msg ->
             Link.deliver t.link ~queries ~bytes:(req_bytes + 16) ~extra_ms;
             if error_db_ms > 0.0 then charge_db t error_db_ms;
@@ -229,12 +161,12 @@ let resilient ?(partial = fun _ -> ()) t fault ~queries ~req_bytes ~error_db_ms
             | Fault.Request -> ()
             | Fault.Mid_batch k -> partial k
             | Fault.Response -> (
-                try ignore (run ~observed:false) with Db.Sql_error _ -> ()));
+                try ignore (run ()) with Db.Sql_error _ -> ()));
             server_crash t
         | _, Fault.Response -> (
             (* The request reached the server and was executed; only the
                reply vanished.  An error reply is lost along with it. *)
-            try ignore (run ~observed:false) with Db.Sql_error _ -> ())
+            try ignore (run ()) with Db.Sql_error _ -> ())
         | _, (Fault.Request | Fault.Mid_batch _) -> ());
         Link.charge_failure t.link ~queries ~bytes:req_bytes failure;
         breaker_failure t;
@@ -256,12 +188,12 @@ let execute t stmt =
   match Link.fault t.link with
   | None ->
       let outcome =
-        try eng_exec t stmt
+        try Shard.exec t.eng stmt
         with Db.Sql_error msg ->
           (* A failed statement still consumed a round trip. *)
           Sloth_net.Link.round_trip t.link ~queries:1
             ~bytes:(request_bytes [ stmt ] + 16);
-          charge_db t (eng_cost t).fixed_ms;
+          charge_db t (fixed_ms t);
           raise (Server_error msg)
       in
       Sloth_net.Link.round_trip t.link ~queries:1
@@ -269,17 +201,13 @@ let execute t stmt =
       charge_db t outcome.cost_ms;
       charge_app t ~stmts:1 ~rows:(Rs.num_rows outcome.rs);
       outcome
-  | Some fault -> (
-      let run ~observed:_ =
-        let o = eng_exec t stmt in
-        ([ o ], o.cost_ms, Rs.num_rows o.rs, Rs.size_bytes o.rs)
+  | Some fault ->
+      let run () =
+        let o = Shard.exec t.eng stmt in
+        (o, o.cost_ms, Rs.num_rows o.rs, Rs.size_bytes o.rs)
       in
-      match
-        resilient t fault ~queries:1 ~req_bytes:(request_bytes [ stmt ])
-          ~error_db_ms:(eng_cost t).fixed_ms ~run
-      with
-      | [ o ] -> o
-      | _ -> assert false)
+      resilient t fault ~queries:1 ~req_bytes:(request_bytes [ stmt ])
+        ~error_db_ms:(fixed_ms t) ~run
 
 let execute_sql t sql =
   match Sloth_sql.Parser.parse sql with
@@ -290,99 +218,32 @@ let query t sql = (execute_sql t sql).rs
 
 (* --- batch protocol ------------------------------------------------------ *)
 
-let is_txn_control = function
-  | Sloth_sql.Ast.Begin_txn | Sloth_sql.Ast.Commit | Sloth_sql.Ast.Rollback ->
-      true
-  | _ -> false
-
-(* Execute the first [k] statements of a batch inside a transaction that is
-   never committed — the shape of a server that died mid-batch.  None of
-   the work reaches the WAL (redo records are emitted at commit), so
-   recovery lands on the pre-batch state. *)
-let abandoned_exec t stmts k =
-  let k = min k (List.length stmts) in
-  if k > 0 && not (List.exists is_txn_control stmts) then begin
-    try
-      ignore (eng_exec t Sloth_sql.Ast.Begin_txn);
-      List.iteri (fun i s -> if i < k then ignore (eng_exec t s)) stmts
-    with Db.Sql_error _ -> ()
-  end
-
 (* Server-side execution of a batch: reads run in parallel, writes
-   sequentially.  A write-containing batch (without explicit transaction
-   control) executes atomically — a mid-batch error rolls every earlier
-   statement of the batch back.  When [token] is provided and the batch
-   writes, the outcomes are stored under it so a retransmission of the same
-   batch is answered from the table instead of re-applied (exactly-once). *)
+   sequentially, a write batch without explicit transaction control
+   atomically.  A tokened batch is answered exactly once
+   ({!Exactly_once}): a retransmission replays the cached outcomes, or a
+   durable "applied" ack once the cache died with the server. *)
 let run_batch t stmts ~token () =
-  match token with
-  | Some k when Hashtbl.mem t.applied k ->
-      let outcomes = Hashtbl.find t.applied k in
-      let rows =
-        List.fold_left (fun acc (o : Db.outcome) -> acc + Rs.num_rows o.rs) 0
-          outcomes
-      in
-      let resp =
-        List.fold_left (fun acc (o : Db.outcome) -> acc + Rs.size_bytes o.rs) 0
-          outcomes
-      in
-      (* replay: the server just looks the batch up *)
-      (outcomes, (eng_cost t).fixed_ms, rows, resp)
-  | Some k when eng_token_applied t k ->
-      (* The outcome cache died with the server, but the WAL proves the
-         batch committed: acknowledge without re-executing.  The original
-         result sets are gone — a durable ack carries only "applied". *)
-      let ack =
-        List.map
-          (fun _ : Db.outcome ->
-            {
-              Db.rs = Rs.empty;
-              rows_affected = 0;
-              cost_ms = (eng_cost t).fixed_ms;
-            })
-          stmts
-      in
-      (ack, (eng_cost t).fixed_ms, 0, 16)
-  | Some k when Hashtbl.mem t.admitted k ->
-      (* The token was seen before but its outcome was evicted from the
-         bounded window and no durable record exists.  Re-applying would
-         break exactly-once; answering from thin air would lie.  Refuse. *)
-      raise
-        (Db.Sql_error
-           (Printf.sprintf "idempotency replay-window miss for token %s" k))
-  | _ ->
-      let has_write = List.exists Sloth_sql.Ast.is_write stmts in
-      (* Whole-batch execution on the server: consecutive reads are planned
-         together, so duplicates collapse and compatible scans are shared. *)
-      let exec_all () = eng_exec_batch t stmts in
-      let outcomes =
-        if has_write && not (List.exists is_txn_control stmts) then
-          eng_atomically ?token t exec_all
-        else exec_all ()
-      in
-      (match token with
-      | Some k when has_write -> remember_applied t k outcomes
-      | _ -> ());
-      (* Reads run in parallel on the server; writes run sequentially. *)
-      let read_costs, write_cost =
-        List.fold_left2
-          (fun (reads, writes) stmt (o : Db.outcome) ->
-            if Sloth_sql.Ast.is_write stmt then (reads, writes +. o.cost_ms)
-            else (o.cost_ms :: reads, writes))
-          ([], 0.0) stmts outcomes
-      in
-      let db_ms =
-        Cost.batch_ms (eng_cost t) (List.rev read_costs) +. write_cost
-      in
-      let rows =
-        List.fold_left (fun acc (o : Db.outcome) -> acc + Rs.num_rows o.rs) 0
-          outcomes
-      in
-      let resp =
-        List.fold_left (fun acc (o : Db.outcome) -> acc + Rs.size_bytes o.rs) 0
-          outcomes
-      in
-      (outcomes, db_ms, rows, resp)
+  let totals outcomes =
+    List.fold_left
+      (fun (rows, resp) (o : Db.outcome) ->
+        (rows + Rs.num_rows o.rs, resp + Rs.size_bytes o.rs))
+      (0, 0) outcomes
+  in
+  match Exactly_once.decide t.once t.eng ~token stmts with
+  | Replay outcomes ->
+      let rows, resp = totals outcomes in
+      (outcomes, fixed_ms t, rows, resp)
+  | Durable_ack ack -> (ack, fixed_ms t, 0, 16)
+  | Refuse msg -> raise (Db.Sql_error msg)
+  | Execute ->
+      let outcomes = Exactly_once.execute t.eng ~token stmts in
+      Exactly_once.remember t.once ~token stmts outcomes;
+      let rows, resp = totals outcomes in
+      ( outcomes,
+        Exactly_once.service_ms (Shard.cost_model t.eng) stmts outcomes,
+        rows,
+        resp )
 
 let execute_batch ?token t stmts =
   match stmts with
@@ -406,8 +267,8 @@ let execute_batch ?token t stmts =
               raise (Server_error msg))
       | Some fault ->
           resilient t fault ~queries:nq ~req_bytes ~error_db_ms:0.0
-            ~partial:(fun k -> abandoned_exec t stmts k)
-            ~run:(fun ~observed:_ -> run ()))
+            ~partial:(Exactly_once.abandoned_exec t.eng stmts)
+            ~run)
 
 let execute_batch_sql t sqls =
   let stmts =
@@ -439,7 +300,7 @@ let slots_for t =
 
 let execute_async t stmt =
   let outcome =
-    try eng_exec t stmt
+    try Shard.exec t.eng stmt
     with Db.Sql_error msg -> raise (Server_error msg)
   in
   (* The request goes out on the first free pooled connection; the response

@@ -20,9 +20,16 @@
     budget is exhausted (or that arrives while the breaker is open) raises
     {!Retries_exhausted} instead of hanging.  Write batches passed an
     idempotency [token] are applied exactly once even when a response is
-    lost and the batch retransmitted: the simulated server remembers the
-    token and replays the stored outcomes.  Without a fault plan the
-    behaviour (and timing) is exactly the fault-free driver's.
+    lost and the batch retransmitted: the simulated server answers them
+    through {!Sloth_server.Exactly_once}, the same window the
+    multi-session server uses.  Without a fault plan the behaviour (and
+    timing) is exactly the fault-free driver's.
+
+    {b One engine path.}  The server side is always a
+    {!Sloth_storage.Shard.t}: {!create} wraps a plain database in a
+    one-shard router ({!Sloth_storage.Shard.of_database}), whose every
+    call goes straight to that database; {!create_sharded} takes a sharded
+    deployment.
 
     {b Multi-session serving.}  A connection is synchronous and owns its
     database: one client, one blocking round trip at a time.  To run many
@@ -47,13 +54,13 @@ module Retry_policy = Sloth_net.Retry_policy
     starts on {!Sloth_net.Retry_policy.default}. *)
 
 val create : Sloth_storage.Database.t -> Sloth_net.Link.t -> t
+(** A connection to one database: [create_sharded (Shard.of_database db)]. *)
 
 val create_sharded : Sloth_storage.Shard.t -> Sloth_net.Link.t -> t
-(** A connection whose server side is a sharded deployment: batches route
-    through {!Sloth_storage.Shard} (hash partitioning + two-phase commit)
-    instead of a single engine.  The protocol machinery — retries,
-    idempotency tokens, crash simulation — is identical; {!server_crash}
-    crashes and recovers the whole deployment, coordinator first. *)
+(** A connection whose server side is a shard router: batches route
+    through {!Sloth_storage.Shard} (hash partitioning + two-phase commit
+    when it has several shards).  {!server_crash} crashes and recovers the
+    whole deployment, coordinator first. *)
 
 val app_cost_per_stmt_ms : float ref
 (** Client-side CPU per statement: driver marshalling, ORM hydration,
@@ -66,11 +73,6 @@ val app_cost_per_row_ms : float ref
 val link : t -> Sloth_net.Link.t
 val clock : t -> Sloth_net.Vclock.t
 val stats : t -> Sloth_net.Stats.t
-val database : t -> Sloth_storage.Database.t
-(** The backing engine — shard 0's engine for a sharded connection. *)
-
-val sharding : t -> Sloth_storage.Shard.t option
-
 val retry_policy : t -> Retry_policy.t
 val set_retry_policy : t -> Retry_policy.t -> unit
 
@@ -81,8 +83,8 @@ val idempotency_window : t -> int
 (** Capacity of the server's idempotency outcome cache (default 512). *)
 
 val set_idempotency_window : t -> int -> unit
-(** Bound the idempotency table: when more than this many tokens are
-    cached, the oldest (FIFO) are evicted.  A retransmission of an evicted
+(** Bound the idempotency table ({!Sloth_server.Exactly_once}): when more
+    than this many tokens are cached, the oldest (FIFO) are evicted.  A retransmission of an evicted
     token whose batch has no durable WAL record is answered with a
     {!Server_error} ("replay-window miss") rather than silently re-applied
     — an exactly-once guarantee the server can no longer honour must fail

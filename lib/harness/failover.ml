@@ -1,5 +1,4 @@
 module Db = Sloth_storage.Database
-module Rs = Sloth_storage.Result_set
 module Wal = Sloth_storage.Wal
 module Repl = Sloth_storage.Replication
 module Des = Sloth_net.Des
@@ -104,28 +103,11 @@ let oracle_order entries =
       | c -> c)
     entries
 
-let same_outcome (a : Db.outcome) (b : Db.outcome) =
-  Rs.columns a.rs = Rs.columns b.rs
-  && Rs.rows a.rs = Rs.rows b.rs
-  && a.rows_affected = b.rows_affected
-
-let ack_shaped outs =
-  outs <> []
-  && List.for_all
-       (fun (o : Db.outcome) -> o.Db.rows_affected = 0 && Rs.rows o.Db.rs = [])
-       outs
-
 (* A token only reaches the WAL's durable registry through the implicit
    [atomically] wrapper, i.e. for write batches without explicit
    transaction control — only those can be held to the durable-ack bar. *)
 let durable_token_eligible stmts =
-  List.exists Ast.is_write stmts
-  && not
-       (List.exists
-          (function
-            | Ast.Begin_txn | Ast.Commit | Ast.Rollback -> true
-            | _ -> false)
-          stmts)
+  List.exists Ast.is_write stmts && not (List.exists Ast.is_txn_control stmts)
 
 type verdict = {
   v_identical : bool;
@@ -157,16 +139,13 @@ let verify srv ~delivered =
     (fun key (tok, _stmts, reply) ->
       match reply with
       | Error _ -> ()
-      | Ok outs -> (
-          match Hashtbl.find_opt oracle_out key with
-          | None -> identical := false
-          | Some oracle_outs ->
-              if
-                not
-                  ((List.length outs = List.length oracle_outs
-                   && List.for_all2 same_outcome outs oracle_outs)
-                  || (tok <> None && ack_shaped outs))
-              then identical := false))
+      | Ok outs ->
+          if
+            not
+              (Served_crash.reply_agrees ~tokened:(tok <> None)
+                 (Hashtbl.find_opt oracle_out key)
+                 outs)
+          then identical := false)
     delivered;
   (* At quiescence the shipper has drained: every surviving follower must
      hold exactly the primary's state. *)

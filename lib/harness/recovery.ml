@@ -1,8 +1,6 @@
 module Db = Sloth_storage.Database
-module Rs = Sloth_storage.Result_set
 module Wal = Sloth_storage.Wal
 module Vclock = Sloth_net.Vclock
-module Des = Sloth_net.Des
 module Link = Sloth_net.Link
 module Fault = Sloth_net.Fault
 module Conn = Sloth_driver.Connection
@@ -249,140 +247,37 @@ type served = {
   sv_identical : bool;  (** delivered results match the serial replay *)
 }
 
-let served_sessions = 6
-let served_batches_per_session = 10
-
-let served_schedule si =
-  let rng = Random.State.make [| 0x51c7ed; si |] in
-  let fresh = ref 0 in
-  List.init served_batches_per_session (fun b ->
-      let read () =
-        match Random.State.int rng 3 with
-        | 0 -> "SELECT COUNT(*) AS c FROM kv"
-        | 1 ->
-            Printf.sprintf "SELECT * FROM kv WHERE id = %d"
-              (1 + Random.State.int rng 25)
-        | _ ->
-            Printf.sprintf "SELECT COUNT(*) AS c FROM kv WHERE n > %d"
-              (Random.State.int rng 300)
-      in
-      let write () =
-        match Random.State.int rng 3 with
-        | 0 ->
-            incr fresh;
-            Printf.sprintf "INSERT INTO kv (id, v, n) VALUES (%d, 's%d', %d)"
-              (200 + (100 * si) + !fresh) si
-              (Random.State.int rng 1000)
-        | 1 ->
-            Printf.sprintf "UPDATE kv SET n = %d WHERE id = %d"
-              (Random.State.int rng 1000)
-              (1 + Random.State.int rng 20)
-        | _ ->
-            Printf.sprintf "DELETE FROM kv WHERE id = %d"
-              (1 + Random.State.int rng 20)
-      in
-      let think = Random.State.float rng 3.0 in
-      if Random.State.int rng 2 = 0 then
-        ( List.map parse
-            (List.init (1 + Random.State.int rng 2) (fun _ -> read ())),
-          None, think )
-      else
-        ( List.map parse
-            (write () :: (if Random.State.bool rng then [ write () ] else [])),
-          Some (Printf.sprintf "sv%d-%d" si b),
-          think ))
-
-let served_same_outcome (a : Db.outcome) (b : Db.outcome) =
-  Rs.columns a.rs = Rs.columns b.rs
-  && Rs.rows a.rs = Rs.rows b.rs
-  && a.rows_affected = b.rows_affected
-
-let served_ack_shaped outs =
-  outs <> []
-  && List.for_all
-       (fun (o : Db.outcome) -> o.Db.rows_affected = 0 && Rs.rows o.Db.rs = [])
-       outs
-
 let served_crash ?(crash = 0.06) ?(checkpoint_every = 2) () =
   let db = durable_db ~checkpoint_every () in
-  let sim = Des.create () in
-  let srv = Adm.create ~sim ~db ~window_ms:1.0 ~retry:{ Sloth_net.Retry_policy.served with max_attempts = 40 }
-      ()
-  in
-  let delivered = Hashtbl.create 64 in
-  let sessions =
-    List.init served_sessions (fun si ->
-        let fault =
-          Fault.create (Fault.plan ~crash_p:crash ~seed:(100 + si) ())
-        in
-        Adm.open_session ~fault srv)
-  in
-  List.iteri
-    (fun si ses ->
-      let rec go seq = function
-        | [] -> ()
-        | (stmts, tok, think) :: rest ->
-            let fut = Adm.submit ses ?token:tok stmts in
-            Des.Future.on_resolve fut (fun r ->
-                Hashtbl.replace delivered (si, seq) (tok <> None, r));
-            Des.delay sim think (fun () -> go (seq + 1) rest)
-      in
-      Des.at sim (0.3 *. float_of_int si) (fun () -> go 0 (served_schedule si)))
-    sessions;
-  Des.run sim ~until:Float.infinity;
-  (* serial replay of the execution log on a plain twin database *)
   let oracle = Db.create () in
   seed_db oracle;
-  let oracle_out = Hashtbl.create 64 in
-  List.iter
-    (fun (e : Adm.entry) ->
-      match Db.exec_batch oracle e.Adm.e_stmts with
-      | outs -> Hashtbl.replace oracle_out (e.Adm.e_session, e.Adm.e_seq) outs
-      | exception Db.Sql_error _ -> ())
-    (Adm.log srv);
-  let identical = ref (Db.fingerprint db = Db.fingerprint oracle) in
-  Hashtbl.iter
-    (fun key (tokened, reply) ->
-      match reply with
-      | Error _ -> ()
-      | Ok outs -> (
-          match Hashtbl.find_opt oracle_out key with
-          | None -> identical := false
-          | Some oracle_outs ->
-              if
-                not
-                  ((List.length outs = List.length oracle_outs
-                   && List.for_all2 served_same_outcome outs oracle_outs)
-                  || (tokened && served_ack_shaped outs))
-              then identical := false))
-    delivered;
-  let total = served_sessions * served_batches_per_session in
-  let torn =
-    (total - Hashtbl.length delivered)
-    + (match Adm.state srv with Adm.Serving -> 0 | _ -> 1)
+  let r =
+    Served_crash.run ~deployment:(Sloth_storage.Shard.of_database db)
+      ~schedule:
+        (Served_crash.schedule ~seed:0x51c7ed ~keys:25 ~token_prefix:"sv")
+      ~fault_seed:100
+      ~oracle:
+        {
+          Served_crash.replay = Db.exec_batch oracle;
+          agrees = (fun () -> Db.fingerprint db = Db.fingerprint oracle);
+        }
+      ~crash ()
   in
-  let s = Adm.stats srv in
-  let errors =
-    Hashtbl.fold
-      (fun _ (_, r) acc -> match r with Error _ -> acc + 1 | Ok _ -> acc)
-      delivered 0
-  in
+  let s = Adm.stats r.server in
   {
-    sv_sessions = served_sessions;
-    sv_batches = total;
-    sv_errors = errors;
+    sv_sessions = r.sessions;
+    sv_batches = r.batches;
+    sv_errors = r.errors;
     sv_crashes = s.Adm.crashes;
-    sv_epochs = Adm.epoch srv;
+    sv_epochs = Adm.epoch r.server;
     sv_recoveries = s.Adm.recoveries;
     sv_torn_inflight = s.Adm.torn_inflight;
     sv_redriven = s.Adm.redriven;
     sv_durable_acks = s.Adm.durable_acks;
-    sv_reconnects =
-      List.fold_left (fun acc ses -> acc + Adm.session_reconnects ses) 0
-        sessions;
+    sv_reconnects = r.reconnects;
     sv_retransmits = s.Adm.retransmits;
-    sv_torn = torn;
-    sv_identical = !identical;
+    sv_torn = r.torn;
+    sv_identical = r.identical;
   }
 
 (* [mean_recovery_ms] is real wall-clock and varies run to run; it is
@@ -490,6 +385,7 @@ let recovery ?json () =
   Printf.printf "\n  torn batches: %d, exactly-once resume everywhere: %b\n"
     torn_total exact;
   Report.subsection "served-crash: async multi-session server";
+  let sv = served_crash () in
   Printf.printf
     "  (%d closed-loop sessions x %d batches on the admission layer, seeded \
      random server\n\
@@ -497,8 +393,7 @@ let recovery ?json () =
      idempotency path and\n\
     \   delivered results checked against a serial replay of the execution \
      log)\n"
-    served_sessions served_batches_per_session;
-  let sv = served_crash () in
+    sv.sv_sessions Served_crash.batches_per_session;
   Printf.printf
     "  crashes %d (epochs %d, recoveries %d), torn in-flight %d, re-driven \
      %d,\n\

@@ -1,9 +1,6 @@
 module Db = Sloth_storage.Database
 module Shard = Sloth_storage.Shard
-module Two_pc = Sloth_storage.Two_pc
-module Rs = Sloth_storage.Result_set
 module Fault = Sloth_net.Fault
-module Des = Sloth_net.Des
 module Adm = Sloth_server.Admission
 
 (* Replicated sharding chaos matrix: the {!Sharding} workload and scripted
@@ -236,118 +233,34 @@ type served = {
   rv_identical : bool;
 }
 
-let served_sessions = 6
-let served_batches_per_session = 10
-
 let served_repl_sharded ?(crash = 0.06) ?(shards = 3) ?(checkpoint_every = 2)
     () =
   let sh = deployment ~shards ~checkpoint_every () in
-  let sim = Des.create () in
-  let srv =
-    Adm.create ~sim ~db:(Shard.shard_db sh 0) ~sharding:sh ~window_ms:1.0
-      ~retry:{ Sloth_net.Retry_policy.served with max_attempts = 40 }
-      ()
+  (* the oracles are UNREPLICATED: replication must be invisible in results
+     and per-shard heaps, promotions included *)
+  let r =
+    Served_crash.run ~deployment:sh ~schedule:Sharding.served_schedule
+      ~fault_seed:300
+      ~oracle:(Sharding.served_oracle ~shards ~checkpoint_every sh)
+      ~crash ()
   in
-  let delivered = Hashtbl.create 64 in
-  let sessions =
-    List.init served_sessions (fun si ->
-        let fault =
-          Fault.create (Fault.plan ~crash_p:crash ~seed:(300 + si) ())
-        in
-        Adm.open_session ~fault srv)
-  in
-  List.iteri
-    (fun si ses ->
-      let rec go seq = function
-        | [] -> ()
-        | (stmts, tok, think) :: rest ->
-            let fut = Adm.submit ses ?token:tok stmts in
-            Des.Future.on_resolve fut (fun r ->
-                Hashtbl.replace delivered (si, seq) (tok, r));
-            Des.delay sim think (fun () -> go (seq + 1) rest)
-      in
-      Des.at sim (0.3 *. float_of_int si) (fun () ->
-          go 0 (Sharding.served_schedule si)))
-    sessions;
-  Des.run sim ~until:Float.infinity;
-  Shard.quiesce sh;
-  (* serial replay oracles, exactly as in the unreplicated served arm: a
-     fresh UNREPLICATED same-shard-count deployment (replication must be
-     invisible in results and per-shard heaps, promotions included) plus
-     an unsharded replay for the logical state *)
-  let osh = Shard.create ~checkpoint_every ~shards () in
-  Sharding.seed_shard osh;
-  let odb = Db.create () in
-  Sharding.seed_db odb;
-  let oracle_out = Hashtbl.create 64 in
-  List.iter
-    (fun (e : Adm.entry) ->
-      (match Db.exec_batch odb e.Adm.e_stmts with
-      | _ -> ()
-      | exception Db.Sql_error _ -> ());
-      match Shard.exec_batch osh e.Adm.e_stmts with
-      | outs -> Hashtbl.replace oracle_out (e.Adm.e_session, e.Adm.e_seq) outs
-      | exception Db.Sql_error _ -> ())
-    (Adm.log srv);
-  let audit_violations = List.length (Shard.audit sh) in
-  let identical =
-    ref
-      (Shard.shard_fingerprints sh = Shard.shard_fingerprints osh
-      && Shard.logical_fingerprint sh = Shard.logical_fingerprint_db odb
-      && audit_violations = 0)
-  in
-  let lost_acked = ref 0 in
-  Hashtbl.iter
-    (fun (si, seq) (tok, reply) ->
-      match reply with
-      | Error _ -> ()
-      | Ok outs -> (
-          (* an acked write must be durable on some shard at quiescence:
-             the lost-acked-write detector, token-level *)
-          (match tok with
-          | Some k ->
-              let sid = Adm.session_id (List.nth sessions si) in
-              if not (Shard.token_applied sh (Printf.sprintf "s%d:%s" sid k))
-              then incr lost_acked
-          | None -> ());
-          match Hashtbl.find_opt oracle_out (si, seq) with
-          | None -> identical := false
-          | Some oracle_outs ->
-              if
-                not
-                  ((List.length outs = List.length oracle_outs
-                   && List.for_all2 Sharding.served_same_outcome outs
-                        oracle_outs)
-                  || (tok <> None && Sharding.served_ack_shaped outs))
-              then identical := false))
-    delivered;
-  let total = served_sessions * served_batches_per_session in
-  let torn =
-    (total - Hashtbl.length delivered)
-    + (match Adm.state srv with Adm.Serving -> 0 | _ -> 1)
-  in
-  let s = Adm.stats srv in
-  let errors =
-    Hashtbl.fold
-      (fun _ (_, r) acc -> match r with Error _ -> acc + 1 | Ok _ -> acc)
-      delivered 0
-  in
+  let s = Adm.stats r.server in
   {
-    rv_sessions = served_sessions;
-    rv_batches = total;
-    rv_errors = errors;
+    rv_sessions = r.sessions;
+    rv_batches = r.batches;
+    rv_errors = r.errors;
     rv_crashes = s.Adm.crashes;
     rv_recoveries = s.Adm.recoveries;
     rv_torn_inflight = s.Adm.torn_inflight;
     rv_redriven = s.Adm.redriven;
     rv_durable_acks = s.Adm.durable_acks;
-    rv_torn = torn;
+    rv_torn = r.torn;
     rv_failovers = s.Adm.failovers;
     rv_replica_read_batches = s.Adm.replica_read_batches;
     rv_ryw_violations = s.Adm.ryw_violations;
-    rv_lost_acked_writes = !lost_acked;
-    rv_audit_violations = audit_violations;
-    rv_identical = !identical;
+    rv_lost_acked_writes = r.lost_acked;
+    rv_audit_violations = List.length (Shard.audit sh);
+    rv_identical = r.identical;
   }
 
 (* --- JSON + report -------------------------------------------------------- *)
@@ -489,7 +402,7 @@ let repl_sharding ?json () =
     \   per-shard RYW floors re-checked on every read; reads may be served \
      by caught-up\n\
     \   followers under a consistent cut)\n"
-    sv.rv_sessions served_batches_per_session replicas_per_shard;
+    sv.rv_sessions Served_crash.batches_per_session replicas_per_shard;
   Printf.printf
     "  crashes %d (recoveries %d), shard failovers %d, torn in-flight %d, \
      re-driven %d,\n\

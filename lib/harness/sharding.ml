@@ -1,9 +1,7 @@
 module Db = Sloth_storage.Database
 module Shard = Sloth_storage.Shard
 module Wal = Sloth_storage.Wal
-module Rs = Sloth_storage.Result_set
 module Fault = Sloth_net.Fault
-module Des = Sloth_net.Des
 module Adm = Sloth_server.Admission
 
 (* --- the cross-shard write workload -------------------------------------- *)
@@ -393,170 +391,151 @@ type served = {
           matches an unsharded replay *)
 }
 
-let served_sessions = 6
-let served_batches_per_session = 10
+let served_schedule =
+  Served_crash.schedule ~seed:0x5a4d ~keys:30 ~token_prefix:"sh"
 
-let served_schedule si =
-  let rng = Random.State.make [| 0x5a4d; si |] in
-  let fresh = ref 0 in
-  List.init served_batches_per_session (fun b ->
-      let read () =
-        match Random.State.int rng 3 with
-        | 0 -> "SELECT COUNT(*) AS c FROM kv"
-        | 1 ->
-            Printf.sprintf "SELECT * FROM kv WHERE id = %d"
-              (1 + Random.State.int rng 30)
-        | _ ->
-            Printf.sprintf "SELECT COUNT(*) AS c FROM kv WHERE n > %d"
-              (Random.State.int rng 300)
-      in
-      let write () =
-        match Random.State.int rng 3 with
-        | 0 ->
-            incr fresh;
-            Printf.sprintf "INSERT INTO kv (id, v, n) VALUES (%d, 's%d', %d)"
-              (200 + (100 * si) + !fresh) si
-              (Random.State.int rng 1000)
-        | 1 ->
-            Printf.sprintf "UPDATE kv SET n = %d WHERE id = %d"
-              (Random.State.int rng 1000)
-              (1 + Random.State.int rng 20)
-        | _ ->
-            Printf.sprintf "DELETE FROM kv WHERE id = %d"
-              (1 + Random.State.int rng 20)
-      in
-      let think = Random.State.float rng 3.0 in
-      if Random.State.int rng 2 = 0 then
-        ( List.map parse
-            (List.init (1 + Random.State.int rng 2) (fun _ -> read ())),
-          None, think )
-      else
-        ( List.map parse
-            (write () :: (if Random.State.bool rng then [ write () ] else [])),
-          Some (Printf.sprintf "sh%d-%d" si b),
-          think ))
-
-let served_same_outcome (a : Db.outcome) (b : Db.outcome) =
-  Rs.columns a.rs = Rs.columns b.rs
-  && Rs.rows a.rs = Rs.rows b.rs
-  && a.rows_affected = b.rows_affected
-
-let served_ack_shaped outs =
-  outs <> []
-  && List.for_all
-       (fun (o : Db.outcome) -> o.Db.rows_affected = 0 && Rs.rows o.Db.rs = [])
-       outs
-
-let served_sharded ?(crash = 0.06) ?(shards = 3) ?(checkpoint_every = 2) () =
-  let sh = deployment ~shards ~checkpoint_every () in
-  let sim = Des.create () in
-  let srv =
-    Adm.create ~sim ~db:(Shard.shard_db sh 0) ~sharding:sh ~window_ms:1.0
-      ~retry:{ Sloth_net.Retry_policy.served with max_attempts = 40 }
-      ()
-  in
-  let delivered = Hashtbl.create 64 in
-  let sessions =
-    List.init served_sessions (fun si ->
-        let fault =
-          Fault.create (Fault.plan ~crash_p:crash ~seed:(300 + si) ())
-        in
-        Adm.open_session ~fault srv)
-  in
-  List.iteri
-    (fun si ses ->
-      let rec go seq = function
-        | [] -> ()
-        | (stmts, tok, think) :: rest ->
-            let fut = Adm.submit ses ?token:tok stmts in
-            Des.Future.on_resolve fut (fun r ->
-                Hashtbl.replace delivered (si, seq) (tok <> None, r));
-            Des.delay sim think (fun () -> go (seq + 1) rest)
-      in
-      Des.at sim (0.3 *. float_of_int si) (fun () -> go 0 (served_schedule si)))
-    sessions;
-  Des.run sim ~until:Float.infinity;
-  (* serial replay on a fresh deployment with the same shard count: result
-     sets (and row order) must match exactly; a second, unsharded replay
-     pins the logical state across shard counts *)
+(* Serial replay on a fresh deployment with the same shard count: result
+   sets (and row order) must match exactly; a second, unsharded replay pins
+   the logical state across shard counts, and the end-of-run audit checks
+   every shard's WAL against the decision log, exactly as in each matrix
+   cell. *)
+let served_oracle ~shards ~checkpoint_every sh =
   let osh = deployment ~shards ~checkpoint_every () in
   let odb = Db.create () in
   seed_db odb;
-  let oracle_out = Hashtbl.create 64 in
-  List.iter
-    (fun (e : Adm.entry) ->
-      (match Db.exec_batch odb e.Adm.e_stmts with
-      | _ -> ()
-      | exception Db.Sql_error _ -> ());
-      match Shard.exec_batch osh e.Adm.e_stmts with
-      | outs -> Hashtbl.replace oracle_out (e.Adm.e_session, e.Adm.e_seq) outs
-      | exception Db.Sql_error _ -> ())
-    (Adm.log srv);
-  let identical =
-    ref
-      (Shard.shard_fingerprints sh = Shard.shard_fingerprints osh
-      && Shard.logical_fingerprint sh = Shard.logical_fingerprint_db odb
-      (* end-of-run audit: after the last recovery every shard's WAL must
-         agree with the decision log, exactly as in each matrix cell *)
-      && Shard.audit sh = [])
+  {
+    Served_crash.replay =
+      (fun stmts ->
+        (try ignore (Db.exec_batch odb stmts) with Db.Sql_error _ -> ());
+        Shard.exec_batch osh stmts);
+    agrees =
+      (fun () ->
+        Shard.shard_fingerprints sh = Shard.shard_fingerprints osh
+        && Shard.logical_fingerprint sh = Shard.logical_fingerprint_db odb
+        && Shard.audit sh = []);
+  }
+
+let served_sharded ?(crash = 0.06) ?(shards = 3) ?(checkpoint_every = 2) () =
+  let sh = deployment ~shards ~checkpoint_every () in
+  let r =
+    Served_crash.run ~deployment:sh ~schedule:served_schedule ~fault_seed:300
+      ~oracle:(served_oracle ~shards ~checkpoint_every sh)
+      ~crash ()
   in
-  Hashtbl.iter
-    (fun key (tokened, reply) ->
-      match reply with
-      | Error _ -> ()
-      | Ok outs -> (
-          match Hashtbl.find_opt oracle_out key with
-          | None -> identical := false
-          | Some oracle_outs ->
-              if
-                not
-                  ((List.length outs = List.length oracle_outs
-                   && List.for_all2 served_same_outcome outs oracle_outs)
-                  || (tokened && served_ack_shaped outs))
-              then identical := false))
-    delivered;
-  let total = served_sessions * served_batches_per_session in
-  let torn =
-    (total - Hashtbl.length delivered)
-    + (match Adm.state srv with Adm.Serving -> 0 | _ -> 1)
-  in
-  let s = Adm.stats srv in
-  let errors =
-    Hashtbl.fold
-      (fun _ (_, r) acc -> match r with Error _ -> acc + 1 | Ok _ -> acc)
-      delivered 0
-  in
+  let s = Adm.stats r.server in
   let ss = Shard.stats sh in
   {
-    sh_sessions = served_sessions;
-    sh_batches = total;
-    sh_errors = errors;
+    sh_sessions = r.sessions;
+    sh_batches = r.batches;
+    sh_errors = r.errors;
     sh_crashes = s.Adm.crashes;
     sh_recoveries = s.Adm.recoveries;
     sh_torn_inflight = s.Adm.torn_inflight;
     sh_redriven = s.Adm.redriven;
     sh_durable_acks = s.Adm.durable_acks;
-    sh_torn = torn;
+    sh_torn = r.torn;
     sh_two_pc = ss.Shard.two_pc_commits;
     sh_one_pc = ss.Shard.one_pc_commits;
     sh_aborts = ss.Shard.dtxn_aborts;
     sh_gathers = ss.Shard.gathered_reads;
     sh_fanout = ss.Shard.fanout_writes;
     sh_decisions = ss.Shard.decisions;
-    sh_identical = !identical;
+    sh_identical = r.identical;
   }
 
 (* --- single-shard equivalence --------------------------------------------- *)
 
-(* [shards = 1] must be byte-identical to the unsharded engine: same heap
-   fingerprint AND the same WAL byte stream (no gtids, no PREPAREs, no
-   decision log entries leak into a single-shard deployment). *)
-let single_shard_identical () =
-  let sh = Shard.create ~checkpoint_every:4 ~shards:1 () in
-  seed_shard sh;
+let durable_db () =
   let db = Db.create () in
   Db.enable_durability ~checkpoint_every:4 ~wal:(Wal.mem ())
     ~checkpoint:(Wal.mem ()) db;
+  db
+
+(* [Shard.of_database] over a caller-supplied engine must behave exactly
+   like driving that engine directly: the seeded batch stream (tokened
+   atomic writes, each followed by a read-back) yields the same outcomes,
+   fingerprint, token answers and LSN, and a crash-restart recovers the
+   same record counts — or, without durability, wipes both alike. *)
+let wrapper_identical ~durable =
+  let engine () =
+    let db = if durable then durable_db () else Db.create () in
+    seed_db db;
+    db
+  in
+  let wrapped = engine () and direct = engine () in
+  let sh = Shard.of_database wrapped in
+  let attempt f =
+    match f () with v -> Ok v | exception Db.Sql_error m -> Error m
+  in
+  let same a b =
+    match (a, b) with
+    | Ok xs, Ok ys ->
+        List.length xs = List.length ys
+        && List.for_all2
+             (fun (x : Db.outcome) (y : Db.outcome) ->
+               Served_crash.same_outcome x y && x.cost_ms = y.cost_ms)
+             xs ys
+    | Error m, Error m' -> m = m'
+    | _ -> false
+  in
+  let read_back = [ parse "SELECT * FROM kv ORDER BY id" ] in
+  let outcomes_ok =
+    List.for_all Fun.id
+      (List.mapi
+         (fun i stmts ->
+           let token = token_of i in
+           same
+             (attempt (fun () ->
+                  Shard.atomically ~token sh (fun () ->
+                      Shard.exec_batch sh stmts)))
+             (attempt (fun () ->
+                  Db.atomically ~token direct (fun () ->
+                      Db.exec_batch direct stmts)))
+           && same
+                (attempt (fun () -> Shard.exec_batch sh read_back))
+                (attempt (fun () -> Db.exec_batch direct read_back)))
+         batches)
+  in
+  let tokens_ok =
+    List.for_all
+      (fun k -> Shard.token_applied sh k = Db.token_applied direct k)
+      ("never-issued" :: List.init n_batches token_of)
+  in
+  let state_ok () =
+    Shard.shard_db sh 0 == wrapped
+    && Db.fingerprint wrapped = Db.fingerprint direct
+    && Shard.current_lsn sh = Db.current_lsn direct
+  in
+  let before_crash = outcomes_ok && tokens_ok && state_ok () in
+  Shard.crash_restart sh;
+  Db.crash_restart direct;
+  let counts db =
+    Option.map
+      (fun (r : Db.recovery_stats) -> { r with recovery_ms = 0.0 })
+      (Db.last_recovery db)
+  in
+  let totals =
+    match Db.last_recovery direct with
+    | None -> (0, 0, 0, 0)
+    | Some r ->
+        (r.replayed_txns, r.replayed_records, r.in_doubt_committed,
+         r.in_doubt_aborted)
+  in
+  before_crash
+  && counts wrapped = counts direct
+  && Shard.recovery_totals sh = totals
+  && state_ok ()
+  && (durable || Db.table_names wrapped = [])
+
+(* [shards = 1] must be byte-identical to the unsharded engine: same heap
+   fingerprint AND the same WAL byte stream (no gtids, no PREPAREs, no
+   decision log entries leak into a single-shard deployment).  The same
+   holds for a one-shard router over a caller-supplied engine, durable or
+   not. *)
+let single_shard_identical () =
+  let sh = Shard.create ~checkpoint_every:4 ~shards:1 () in
+  seed_shard sh;
+  let db = durable_db () in
   seed_db db;
   List.iteri
     (fun i stmts ->
@@ -568,6 +547,8 @@ let single_shard_identical () =
   Db.fingerprint (Shard.shard_db sh 0) = Db.fingerprint db
   && Db.wal_size (Shard.shard_db sh 0) = Db.wal_size db
   && Sloth_storage.Two_pc.log_size (Shard.coordinator sh) = 0
+  && wrapper_identical ~durable:true
+  && wrapper_identical ~durable:false
 
 (* --- JSON + report --------------------------------------------------------- *)
 
@@ -689,7 +670,7 @@ let sharding ?json () =
      shard's in-doubt\n\
     \   resolution; results checked against same-count and unsharded serial \
      replays)\n"
-    sv.sh_sessions served_batches_per_session 3;
+    sv.sh_sessions Served_crash.batches_per_session 3;
   Printf.printf
     "  crashes %d (recoveries %d), torn in-flight %d, re-driven %d, durable \
      acks %d, errors %d\n\

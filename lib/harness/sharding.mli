@@ -121,19 +121,20 @@ type served = {
   sh_identical : bool;
 }
 
-val served_schedule :
-  int -> (Sloth_sql.Ast.stmt list * string option * float) list
-(** Session [si]'s seeded batch schedule: [(stmts, token, think_ms)] per
-    batch.  Shared with the replicated-sharding served arm so both run the
-    identical multi-session workload. *)
+val served_schedule : int -> Served_crash.batch list
+(** Session [si]'s seeded batch schedule for the served arm.  Shared with
+    the replicated-sharding served arm so both run the identical
+    multi-session workload. *)
 
-val served_same_outcome :
-  Sloth_storage.Database.outcome -> Sloth_storage.Database.outcome -> bool
-(** Column-, row- and rows-affected-exact outcome equality. *)
-
-val served_ack_shaped : Sloth_storage.Database.outcome list -> bool
-(** A synthesized durable-token ack: non-empty, all-empty result sets with
-    zero rows affected. *)
+val served_oracle :
+  shards:int ->
+  checkpoint_every:int ->
+  Sloth_storage.Shard.t ->
+  Served_crash.oracle
+(** The served arm's oracle for deployment [sh]: replay on a fresh
+    unreplicated deployment with the same shard count (exact result sets
+    and per-shard fingerprints) and on an unsharded engine (logical
+    fingerprint), plus a clean {!Sloth_storage.Shard.audit} of [sh]. *)
 
 val served_sharded :
   ?crash:float -> ?shards:int -> ?checkpoint_every:int -> unit -> served

@@ -101,7 +101,10 @@ and arrival = {
 
 and t = {
   sim : Des.t;
-  mutable db : Db.t;  (* re-pointed to the promoted replica on failover *)
+  mutable eng : Shard.t;
+      (* the engine every execution goes through: the shard router, or a
+         one-shard router over the database (re-wrapped around the
+         promoted replica on a standalone-replication failover) *)
   mutable cur_window : float;  (* current coalescing window *)
   window_bounds : (float * float) option;
       (* (floor, ceiling): adapt [cur_window] to the recent sharing rate;
@@ -111,24 +114,15 @@ and t = {
   retry : Retry_policy.t;
   restart_after_ms : float;  (* downtime before recovery begins *)
   exec : Des.Resource.t;  (* the storage engine itself is single-threaded *)
-  shard : Shard.t option;
-      (* sharded storage: [db] is shard 0's engine, every execution fans
-         out through the router instead *)
   repl : Repl.t option;  (* replication: quorum acks, read routing, failover *)
   replica_exec : (int, Des.Resource.t) Hashtbl.t;
       (* per-replica executors: each follower serves its flushes serially,
          but concurrently with the primary and the other followers *)
   read_q : arrival Queue.t;
   mutable flush_scheduled : bool;
-  (* Volatile idempotency state: a bounded FIFO window of cached replies
-     plus the set of every token ever admitted, so an evicted token can be
-     refused (replay-window miss) instead of silently re-applied.  All of
-     it dies with the process on a crash; only [Db.token_applied] spans
-     restarts. *)
-  applied : (string, reply) Hashtbl.t;  (* tagged token -> cached reply *)
-  applied_order : string Queue.t;
-  mutable applied_capacity : int;
-  admitted : (string, unit) Hashtbl.t;
+  once : Exactly_once.t;
+      (* volatile idempotency window over session-tagged tokens; dies with
+         the process on a crash *)
   (* Crash-restart machinery. *)
   mutable state : state;
   mutable epoch : int;  (* bumped at every crash; tears stale replies *)
@@ -175,8 +169,6 @@ let create ~sim ~db ?(window_ms = 2.0) ?window_bounds ?(max_coalesce = 64)
   | _ -> ());
   if retry.Retry_policy.max_attempts < 1 then
     invalid_arg "Admission.create: retry.max_attempts";
-  if idempotency_window < 1 then
-    invalid_arg "Admission.create: idempotency_window";
   (match replication with
   | Some r when Repl.primary r != db ->
       invalid_arg "Admission.create: replication is attached to another db"
@@ -194,7 +186,7 @@ let create ~sim ~db ?(window_ms = 2.0) ?window_bounds ?(max_coalesce = 64)
   | _ -> ());
   {
     sim;
-    db;
+    eng = (match sharding with Some sh -> sh | None -> Shard.of_database db);
     cur_window =
       (match window_bounds with
       | None -> window_ms
@@ -205,15 +197,11 @@ let create ~sim ~db ?(window_ms = 2.0) ?window_bounds ?(max_coalesce = 64)
     retry;
     restart_after_ms;
     exec = Des.Resource.create sim ~servers:1;
-    shard = sharding;
     repl = replication;
     replica_exec = Hashtbl.create 4;
     read_q = Queue.create ();
     flush_scheduled = false;
-    applied = Hashtbl.create 32;
-    applied_order = Queue.create ();
-    applied_capacity = idempotency_window;
-    admitted = Hashtbl.create 32;
+    once = Exactly_once.create ~window:idempotency_window;
     state = Serving;
     epoch = 0;
     rev_transitions = [ (0.0, Serving) ];
@@ -244,38 +232,12 @@ let create ~sim ~db ?(window_ms = 2.0) ?window_bounds ?(max_coalesce = 64)
   }
 
 let sim t = t.sim
-let database t = t.db
-let sharding t = t.shard
 
-(* Engine dispatch: a sharded server routes every execution through the
-   shard router.  [t.db] (shard 0's engine) keeps serving the cost model —
-   every shard shares it — and stays the replica-relative anchor, which
-   sharding excludes anyway. *)
-let eng_exec t s =
-  match t.shard with Some sh -> Shard.exec sh s | None -> Db.exec t.db s
-
-let eng_exec_batch t stmts =
-  match t.shard with
-  | Some sh -> Shard.exec_batch sh stmts
-  | None -> Db.exec_batch t.db stmts
-
-let eng_atomically ?token t f =
-  match t.shard with
-  | Some sh -> Shard.atomically ?token sh f
-  | None -> Db.atomically ?token t.db f
-
-let eng_in_txn t =
-  match t.shard with Some sh -> Shard.in_txn sh | None -> Db.in_txn t.db
-
-let eng_token_applied t k =
-  match t.shard with
-  | Some sh -> Shard.token_applied sh k
-  | None -> Db.token_applied t.db k
-
-let eng_lsn t =
-  match t.shard with
-  | Some sh -> Shard.current_lsn sh
-  | None -> Db.current_lsn t.db
+(* Shard 0's engine: the database itself when unsharded, the current
+   primary (after any failover) when replicated.  Every shard shares its
+   cost model. *)
+let database t = Shard.shard_db t.eng 0
+let cost_model t = Shard.cost_model t.eng
 
 let open_session ?(rtt_ms = 0.5) ?fault t =
   let id = t.next_session in
@@ -297,27 +259,15 @@ let session_reconnects s = s.reconnects
 let state t = t.state
 let epoch t = t.epoch
 let transitions t = List.rev t.rev_transitions
-let idempotency_window t = t.applied_capacity
-
-let set_idempotency_window t n =
-  if n < 1 then invalid_arg "Admission.set_idempotency_window";
-  t.applied_capacity <- n;
-  while Queue.length t.applied_order > n do
-    Hashtbl.remove t.applied (Queue.pop t.applied_order)
-  done
-
-(* The engine's cumulative cache/sharing view: the shard router's sum, or
-   the current primary's counters (after a failover this is the promoted
-   replica — the dead reign's counters died with it). *)
-let engine_read_stats t =
-  match t.shard with
-  | Some sh -> Shard.read_stats sh
-  | None -> Db.read_stats t.db
-
+let idempotency_window t = Exactly_once.window t.once
+let set_idempotency_window t n = Exactly_once.set_window t.once n
 let current_window_ms t = t.cur_window
 
 let stats t =
-  let rs = engine_read_stats t in
+  (* the engine's cumulative cache/sharing view, summed over shards; after
+     a failover the promoted primary's (the dead reign's counters died with
+     it) *)
+  let rs = Shard.read_stats t.eng in
   {
     batches = t.s_batches;
     read_batches = t.s_read_batches;
@@ -374,17 +324,18 @@ let set_state t s =
   t.state <- s;
   t.rev_transitions <- (Des.now t.sim, s) :: t.rev_transitions
 
-(* Record one execution.  [db] is the database that ran it — the entry's
-   LSN is that database's current LSN, i.e. the snapshot a read saw or the
-   post-commit position of a write, which is what lets the serial-replay
-   oracle interleave replica-served reads at the position they actually
+(* Record one execution.  The entry's LSN is the executing engine's current
+   LSN — the primary's, or the serving follower's [(rid, db)] for a
+   replica-served read — i.e. the snapshot a read saw or the post-commit
+   position of a write, which is what lets the serial-replay oracle
+   interleave replica-served reads at the position they actually
    observed. *)
-let log_exec ?replica t ~db a =
+let log_exec ?replica t a =
   let b = a.a_b in
   let lsn =
-    match t.shard with
-    | Some sh -> Shard.current_lsn sh
-    | None -> Db.current_lsn db
+    match replica with
+    | Some (_, db) -> Db.current_lsn db
+    | None -> Shard.current_lsn t.eng
   in
   let e =
     {
@@ -392,7 +343,7 @@ let log_exec ?replica t ~db a =
       e_seq = b.b_seq;
       e_epoch = t.epoch;
       e_lsn = lsn;
-      e_replica = replica;
+      e_replica = Option.map fst replica;
       e_stmts = b.b_stmts;
       e_reads = b.b_read;
       e_delivered = a.a_deliver;
@@ -438,10 +389,6 @@ let abandon_redrive t key =
     maybe_drained t
   end
 
-let is_txn_control = function
-  | Ast.Begin_txn | Ast.Commit | Ast.Rollback -> true
-  | _ -> false
-
 let count_read_stats t outs =
   List.iter
     (fun ((_ : Db.outcome), scanned) ->
@@ -449,91 +396,76 @@ let count_read_stats t outs =
       if scanned = 0 then t.s_zero_scan <- t.s_zero_scan + 1)
     outs
 
-(* --- replicated sharding ------------------------------------------------- *)
+(* --- reads and failovers through the router ------------------------------ *)
 
 (* Record the session's per-shard read-your-writes floor at write ack:
    each shard primary's LSN, taken pointwise-max so a component can never
-   regress on the session's side. *)
+   regress on the session's side.  Only under per-shard replication: an
+   unreplicated in-place recovery may legitimately wipe a non-durable
+   engine below any floor. *)
 let record_shard_floor t ses =
-  match t.shard with
-  | Some sh when Shard.replicated sh ->
-      let cur = Array.of_list (Shard.lsn_vector sh) in
-      if Array.length ses.last_write_vec = 0 then ses.last_write_vec <- cur
-      else
-        Array.iteri
-          (fun s lsn ->
-            if s < Array.length ses.last_write_vec && lsn > ses.last_write_vec.(s)
-            then ses.last_write_vec.(s) <- lsn)
-          cur
-  | _ -> ()
+  if Shard.replicated t.eng then begin
+    let cur = Array.of_list (Shard.lsn_vector t.eng) in
+    if Array.length ses.last_write_vec = 0 then ses.last_write_vec <- cur
+    else
+      Array.iteri
+        (fun s lsn ->
+          if s < Array.length ses.last_write_vec && lsn > ses.last_write_vec.(s)
+          then ses.last_write_vec.(s) <- lsn)
+        cur
+  end
 
 (* The armed detector: any shard primary standing below a floor this
    session holds an acknowledged write at means the write vanished in a
    promotion — exactly what quorum acks exist to prevent.  Must count 0. *)
-let check_shard_ryw t sh ses =
-  let cur = Array.of_list (Shard.lsn_vector sh) in
-  Array.iteri
-    (fun s floor ->
-      if s < Array.length cur && cur.(s) < floor then
-        t.s_ryw_violations <- t.s_ryw_violations + 1)
-    ses.last_write_vec
+let check_shard_ryw t ses =
+  if Array.length ses.last_write_vec > 0 then begin
+    let cur = Array.of_list (Shard.lsn_vector t.eng) in
+    Array.iteri
+      (fun s floor ->
+        if s < Array.length cur && cur.(s) < floor then
+          t.s_ryw_violations <- t.s_ryw_violations + 1)
+      ses.last_write_vec
+  end
 
-(* Sharded read execution.  Under per-shard replication the router itself
-   routes each shard's fetch to a caught-up follower when one exists (a
-   consistent cut at the primary's current LSN, which dominates every
-   session floor); this wrapper surfaces that routing in the admission
-   counters and runs the RYW detector over every session in the group. *)
-let shard_reads t sh sessions sels =
-  let before = (Shard.stats sh).Shard.replica_read_fetches in
-  let outs = Shard.exec_reads sh sels in
-  if (Shard.stats sh).Shard.replica_read_fetches > before then
+(* Read execution on the primary path.  Under per-shard replication the
+   router itself routes each shard's fetch to a caught-up follower when one
+   exists (a consistent cut at the primary's current LSN, which dominates
+   every session floor); this wrapper surfaces that routing in the
+   admission counters and runs the RYW detector over every session in the
+   group. *)
+let exec_reads t sessions sels =
+  let fetches () = (Shard.stats t.eng).Shard.replica_read_fetches in
+  let before = fetches () in
+  let outs = Shard.exec_reads t.eng sels in
+  if fetches () > before then
     t.s_replica_batches <- t.s_replica_batches + List.length sessions;
-  List.iter (fun ses -> check_shard_ryw t sh ses) sessions;
+  List.iter (check_shard_ryw t) sessions;
   outs
 
 (* Promotions performed inside the router (a shard primary died at a 2PC
    step, or a whole-process recovery failed over every shard): surface
-   each one in the admission failover log, and re-point the shard-0
-   anchor — the engine object in slot 0 changes when that shard's primary
-   is promoted. *)
+   each one in the admission failover log.  An unreplicated router never
+   promotes. *)
 let sync_shard_failovers t =
-  match t.shard with
-  | Some sh when Shard.replicated sh ->
-      let fos = Shard.failovers sh in
-      let n = List.length fos in
-      if n > t.shard_fo_seen then begin
-        List.iteri
-          (fun i ((_shard, _rid, lsn) : int * int * int) ->
-            if i >= t.shard_fo_seen then begin
-              t.s_failovers <- t.s_failovers + 1;
-              t.rev_failovers <- (t.epoch, lsn) :: t.rev_failovers
-            end)
-          fos;
-        t.shard_fo_seen <- n;
-        t.db <- Shard.shard_db sh 0
-      end
-  | _ -> ()
-
-(* Bounded FIFO window over cached replies; [admitted] keeps only the token
-   strings, so an evicted token retransmitted later is refused instead of
-   silently applied a second time (unless the WAL can vouch for it). *)
-let remember_applied t k reply =
-  if not (Hashtbl.mem t.applied k) then begin
-    Queue.push k t.applied_order;
-    while Queue.length t.applied_order > t.applied_capacity do
-      Hashtbl.remove t.applied (Queue.pop t.applied_order)
-    done
-  end;
-  Hashtbl.replace t.applied k reply;
-  Hashtbl.replace t.admitted k ()
+  let fos = Shard.failovers t.eng in
+  List.iteri
+    (fun i ((_shard, _rid, lsn) : int * int * int) ->
+      if i >= t.shard_fo_seen then begin
+        t.s_failovers <- t.s_failovers + 1;
+        t.rev_failovers <- (t.epoch, lsn) :: t.rev_failovers
+      end)
+    fos;
+  t.shard_fo_seen <- List.length fos
 
 (* A barrier batch (writes and/or transaction control), executed alone in
    arrival order — the per-session semantics of the synchronous driver,
-   including exactly-once replay of session-tagged idempotency tokens. *)
+   including exactly-once answers to session-tagged idempotency tokens
+   ({!Exactly_once}). *)
 let run_barrier t a finish =
   let b = a.a_b in
   let ses = b.b_session in
-  let model = Db.cost_model t.db in
+  let fixed = (cost_model t).Cost.fixed_ms in
   (* A write acknowledgement never leaves the server before its LSN is
      quorum-replicated: the reply (and the executor slot the caller holds,
      which also keeps the not-yet-replicated commit invisible to
@@ -543,78 +475,48 @@ let run_barrier t a finish =
     match t.repl with
     | None -> finish service r
     | Some repl ->
-        let lsn = Db.current_lsn t.db in
+        let lsn = Db.current_lsn (database t) in
         Repl.on_quorum repl ~lsn (fun () -> finish service r)
   in
   (* The session's read-your-writes floor: any later read must observe at
      least this LSN.  Bumped on every acknowledged-write path. *)
   let bump_write_floor () =
-    let lsn = eng_lsn t in
+    let lsn = Shard.current_lsn t.eng in
     if lsn > ses.last_write_lsn then ses.last_write_lsn <- lsn;
     record_shard_floor t ses
   in
-  match b.b_token with
-  | Some k when Hashtbl.mem t.applied k ->
-      (* retransmission of an already-processed batch: replay the cache *)
+  match Exactly_once.decide t.once t.eng ~token:b.b_token b.b_stmts with
+  | Replay outcomes ->
       bump_write_floor ();
-      finish_acked model.Cost.fixed_ms (Hashtbl.find t.applied k)
-  | Some k when eng_token_applied t k ->
-      (* the cache is gone (evicted, or wiped by a crash) but the WAL
-         proves the batch committed: a durable ack carries only "applied" *)
+      finish_acked fixed (Ok outcomes)
+  | Durable_ack ack ->
       t.s_durable_acks <- t.s_durable_acks + 1;
       bump_write_floor ();
-      let ack =
-        List.map
-          (fun _ : Db.outcome ->
-            { Db.rs = Rs.empty; rows_affected = 0; cost_ms = model.Cost.fixed_ms })
-          b.b_stmts
-      in
-      finish_acked model.Cost.fixed_ms (Ok ack)
-  | Some k when Hashtbl.mem t.admitted k ->
-      (* The token was seen before but its outcome was evicted from the
-         bounded window and no durable record exists.  Re-applying would
-         break exactly-once; answering from thin air would lie.  Refuse. *)
-      finish model.Cost.fixed_ms
-        (Error (Printf.sprintf "idempotency replay-window miss for token %s" k))
-  | _ -> (
-      let has_write = List.exists Ast.is_write b.b_stmts in
-      let has_txn = List.exists is_txn_control b.b_stmts in
-      let exec_all () = eng_exec_batch t b.b_stmts in
+      finish_acked fixed (Ok ack)
+  | Refuse msg -> finish fixed (Error msg)
+  | Execute -> (
       let rollback_if_open () =
-        if eng_in_txn t then ignore (eng_exec t Ast.Rollback)
+        if Shard.in_txn t.eng then ignore (Shard.exec t.eng Ast.Rollback)
       in
-      let pre_lsn = eng_lsn t in
-      match
-        if has_write && not has_txn then
-          eng_atomically ?token:b.b_token t exec_all
-        else exec_all ()
-      with
+      let pre_lsn = Shard.current_lsn t.eng in
+      match Exactly_once.execute t.eng ~token:b.b_token b.b_stmts with
       | outcomes ->
-          if eng_in_txn t then begin
+          if Shard.in_txn t.eng then begin
             (* A transaction spanning batches would hold every other
                session hostage: batch-scoped or nothing. *)
             rollback_if_open ();
-            finish model.Cost.fixed_ms
+            finish fixed
               (Error
                  "transaction left open at batch end (the multi-session \
                   server requires batch-scoped transactions)")
           end
           else begin
-            (match b.b_token with
-            | Some k when has_write -> remember_applied t k (Ok outcomes)
-            | _ -> ());
+            Exactly_once.remember t.once ~token:b.b_token b.b_stmts outcomes;
             sync_shard_failovers t;
-            if eng_lsn t > pre_lsn then bump_write_floor ();
-            log_exec t ~db:t.db a;
-            let read_costs, write_cost =
-              List.fold_left2
-                (fun (reads, writes) stmt (o : Db.outcome) ->
-                  if Ast.is_write stmt then (reads, writes +. o.Db.cost_ms)
-                  else (o.Db.cost_ms :: reads, writes))
-                ([], 0.0) b.b_stmts outcomes
-            in
+            if Shard.current_lsn t.eng > pre_lsn then bump_write_floor ();
+            log_exec t a;
             finish_acked
-              (Cost.batch_ms model (List.rev read_costs) +. write_cost)
+              (Exactly_once.service_ms (cost_model t) b.b_stmts outcomes)
               (Ok outcomes)
           end
       | exception Db.Sql_error msg ->
@@ -625,7 +527,7 @@ let run_barrier t a finish =
           (* the rollback leaves the LSN where it was, but ack through the
              quorum gate anyway so an error reply can never outrun a
              commit the same incarnation already made *)
-          finish_acked model.Cost.fixed_ms (Error msg))
+          finish_acked fixed (Error msg))
 
 (* Execute one arrival on the (single-server) executor resource and ship
    its reply.  Used for barriers always, and for read batches when
@@ -648,35 +550,28 @@ let direct t a =
         in
         let b = a.a_b in
         if b.b_read then
-          let do_reads () =
-            match t.shard with
-            | Some sh when Shard.replicated sh ->
-                shard_reads t sh [ b.b_session ] b.b_selects
-            | Some sh -> Shard.exec_reads sh b.b_selects
-            | None -> Db.exec_reads t.db b.b_selects
-          in
-          match do_reads () with
+          match exec_reads t [ b.b_session ] b.b_selects with
           | outs ->
               count_read_stats t outs;
-              log_exec t ~db:t.db a;
+              log_exec t a;
               let costs =
                 List.map (fun ((o : Db.outcome), _) -> o.Db.cost_ms) outs
               in
               finish
-                (Cost.batch_ms (Db.cost_model t.db) costs)
+                (Cost.batch_ms (cost_model t) costs)
                 (Ok (List.map fst outs))
           | exception Db.Sql_error msg ->
-              finish (Db.cost_model t.db).Cost.fixed_ms (Error msg)
+              finish (cost_model t).Cost.fixed_ms (Error msg)
         else run_barrier t a finish)
 
 (* One coalesced flush: every waiting batch's reads concatenated into a
    single multi-query execution, so normalized duplicates and shareable
    scans collapse across sessions.  All the batches of a flush finish
    together (the group runs as one parallel read batch) — and if the server
-   dies before the acks go out, they are torn together too.  [db] is the
-   database serving the group (the primary, or a sufficiently caught-up
-   replica) and [release] returns the executor the group was admitted
-   on. *)
+   dies before the acks go out, they are torn together too.  [replica] is
+   the sufficiently caught-up follower [(rid, db)] serving the group, if
+   not the primary engine, and [release] returns the executor the group
+   was admitted on. *)
 (* Grow the coalescing window while flushes actually coalesce and a good
    share of their reads come for free (deduped, shared or cache-hit — all
    report zero rows scanned); shrink it back toward the floor when batches
@@ -694,7 +589,7 @@ let adapt_window t ~batches ~reads ~zero =
           t.cur_window <- Float.max lo (t.cur_window /. 1.25)
       end
 
-let run_flush_on ?replica t ~db ~release group =
+let run_flush_on ?replica t ~release group =
   let e0 = t.epoch in
   t.s_flushes <- t.s_flushes + 1;
   let n = List.length group in
@@ -702,7 +597,7 @@ let run_flush_on ?replica t ~db ~release group =
   if n > 1 then t.s_coalesced <- t.s_coalesced + n;
   (match replica with
   | None -> ()
-  | Some _ ->
+  | Some (_, db) ->
       t.s_replica_batches <- t.s_replica_batches + n;
       (* self-check of the routing invariant: the replica must have applied
          every LSN the sessions it serves have acknowledged writes at *)
@@ -722,16 +617,11 @@ let run_flush_on ?replica t ~db ~release group =
             t.s_replica_rows <- t.s_replica_rows + scanned)
           outs
   in
-  let model = Db.cost_model t.db in
-  (* under sharding [db] is the primary router's anchor, so the group's
-     reads fan out through the router — which, under per-shard
-     replication, serves each shard's fetch from a caught-up follower
-     when it can *)
+  let model = cost_model t in
   let do_reads ~sessions sels =
-    match t.shard with
-    | Some sh when Shard.replicated sh -> shard_reads t sh sessions sels
-    | Some sh -> Shard.exec_reads sh sels
-    | None -> Db.exec_reads db sels
+    match replica with
+    | Some (_, db) -> Db.exec_reads db sels
+    | None -> exec_reads t sessions sels
   in
   let all_selects = List.concat_map (fun a -> a.a_b.b_selects) group in
   let finish service replies =
@@ -771,7 +661,7 @@ let run_flush_on ?replica t ~db ~release group =
                       a.a_b.b_session.id a.a_b.b_seq t.epoch n
             in
             let mine, outs = take (List.length a.a_b.b_selects) [] outs in
-            log_exec ?replica t ~db a;
+            log_exec ?replica t a;
             (a, Ok (List.map fst mine)) :: split outs rest
       in
       finish (Cost.batch_ms model costs) (split outs group)
@@ -786,7 +676,7 @@ let run_flush_on ?replica t ~db ~release group =
             match do_reads ~sessions:[ a.a_b.b_session ] a.a_b.b_selects with
             | outs ->
                 count_rows outs;
-                log_exec ?replica t ~db a;
+                log_exec ?replica t a;
                 let costs =
                   List.map (fun ((o : Db.outcome), _) -> o.Db.cost_ms) outs
                 in
@@ -800,9 +690,7 @@ let run_flush_on ?replica t ~db ~release group =
       finish !service replies
 
 let run_flush t group =
-  run_flush_on t ~db:t.db
-    ~release:(fun () -> Des.Resource.release t.exec)
-    group
+  run_flush_on t ~release:(fun () -> Des.Resource.release t.exec) group
 
 (* Serve one routed group on a follower: admitted on that follower's own
    executor, so replica-served flushes run concurrently with the primary's
@@ -825,7 +713,7 @@ let run_replica_flush t rid db group =
         List.iter (fun a -> torn_failover t a) group
       end
       else
-        run_flush_on ~replica:rid t ~db
+        run_flush_on ~replica:(rid, db) t
           ~release:(fun () -> Des.Resource.release res)
           group)
 
@@ -935,34 +823,27 @@ let recover t =
     match t.repl with
     | Some repl when Repl.can_promote repl ->
         let db, _rid, replayed = Repl.promote repl in
-        t.db <- db;
+        t.eng <- Shard.of_database db;
         t.s_failovers <- t.s_failovers + 1;
         t.rev_failovers <- (t.epoch, Db.current_lsn db) :: t.rev_failovers;
         replayed
-    | _ -> (
-        match t.shard with
-        | Some sh ->
-            (* whole-process crash: the coordinator's decision log recovers
-               first, then every shard resolves its in-doubt chunks against
-               it; the calendar is charged for the summed replay.  Under
-               per-shard replication each shard recovers by promoting its
-               most caught-up follower instead — surface those promotions
-               (and the re-pointed shard-0 anchor) before serving. *)
-            Shard.crash_restart sh;
-            sync_shard_failovers t;
-            let _txns, records, _committed, _aborted =
-              Shard.recovery_totals sh
-            in
-            records
-        | None ->
-            Db.crash_restart t.db;
-            (match Db.last_recovery t.db with
-            | Some s -> s.Db.replayed_records
-            | None -> 0))
+    | _ ->
+        (* Whole-process crash: the coordinator's decision log recovers
+           first, then every shard resolves its in-doubt chunks against it
+           (a single engine just replays its checkpoint + WAL); the
+           calendar is charged for the summed replay.  Under per-shard
+           replication each shard recovers by promoting its most caught-up
+           follower instead — surface those promotions before serving. *)
+        Shard.crash_restart t.eng;
+        sync_shard_failovers t;
+        let _txns, records, _committed, _aborted =
+          Shard.recovery_totals t.eng
+        in
+        records
   in
   t.s_recoveries <- t.s_recoveries + 1;
   Des.delay t.sim
-    (Cost.recovery_ms (Db.cost_model t.db) ~replayed_records:replayed)
+    (Cost.recovery_ms (cost_model t) ~replayed_records:replayed)
     (fun () ->
       set_state t
         (if Hashtbl.length t.torn = 0 then Serving else Draining_redrive))
@@ -976,25 +857,11 @@ let crash t =
   t.s_crashes <- t.s_crashes + 1;
   t.epoch <- t.epoch + 1;
   set_state t Crashed;
-  Hashtbl.reset t.applied;
-  Queue.clear t.applied_order;
-  Hashtbl.reset t.admitted;
+  Exactly_once.reset t.once;
   Queue.iter (fun a -> torn_failover t a) t.read_q;
   Queue.clear t.read_q;
   t.flush_scheduled <- false;
   Des.delay t.sim t.restart_after_ms (fun () -> recover t)
-
-(* The first [k] statements of the batch ran inside a transaction whose
-   commit record never reached the WAL: recovery lands on the pre-batch
-   state — the same shape as the synchronous driver's abandoned
-   execution. *)
-let abandoned_exec t stmts k =
-  let k = min k (List.length stmts) in
-  if k > 0 && not (List.exists is_txn_control stmts) then (
-    try
-      ignore (eng_exec t Ast.Begin_txn);
-      List.iteri (fun i s -> if i < k then ignore (eng_exec t s)) stmts
-    with Db.Sql_error _ -> ())
 
 (* The dying server's last act on a Response-leg crash: the batch ran to
    completion — commit, durable token and all — and the ack died with the
@@ -1012,14 +879,10 @@ let silent_execute t b =
     }
   in
   if b.b_read then (
-    match
-      match t.shard with
-      | Some sh -> Shard.exec_reads sh b.b_selects
-      | None -> Db.exec_reads t.db b.b_selects
-    with
+    match Shard.exec_reads t.eng b.b_selects with
     | outs ->
         count_read_stats t outs;
-        log_exec t ~db:t.db a
+        log_exec t a
     | exception Db.Sql_error _ -> ())
   else run_barrier t a (fun _service _reply -> ())
 
@@ -1080,6 +943,26 @@ let submit ses ?token stmts =
           ses.reconnects <- ses.reconnects + 1;
           retry (timeout ()) (Fault.failure_label Fault.Server_crash)
         in
+        (* An attempt the server survived but the client lost: the reply
+           (or the request) died on the wire, and the client burns [burn]
+           before retrying. *)
+        let lost failure leg burn =
+          (match leg with
+          | Fault.Response | Fault.Mid_batch _ ->
+              (* the server executed the batch; only the reply died *)
+              Des.delay t.sim one_way (fun () ->
+                  arrive t
+                    {
+                      a_b = b;
+                      a_extra = 0.0;
+                      a_deliver = false;
+                      a_reply = ignore;
+                      a_fail = ignore;
+                      a_entry = None;
+                    })
+          | Fault.Request -> ());
+          retry burn (Fault.failure_label failure)
+        in
         let decision =
           match ses.fault with
           | None -> Fault.Deliver 0.0
@@ -1109,33 +992,15 @@ let submit ses ?token stmts =
                 | Serving | Draining_redrive ->
                     (match leg with
                     | Fault.Request -> ()
-                    | Fault.Mid_batch k -> abandoned_exec t b.b_stmts k
+                    | Fault.Mid_batch k ->
+                        Exactly_once.abandoned_exec t.eng b.b_stmts k
                     | Fault.Response -> silent_execute t b);
                     crash t);
             failed_over ()
-        | Fault.Fail (failure, leg) ->
-            (match leg with
-            | Fault.Response | Fault.Mid_batch _ ->
-                (* the server executed the batch; only the reply died *)
-                Des.delay t.sim one_way (fun () ->
-                    arrive t
-                      {
-                        a_b = b;
-                        a_extra = 0.0;
-                        a_deliver = false;
-                        a_reply = ignore;
-                        a_fail = ignore;
-                        a_entry = None;
-                      })
-            | Fault.Request -> ());
-            let burn =
-              match failure with
-              | Fault.Drop -> timeout ()
-              | Fault.Reset -> one_way
-              | Fault.Server_busy | Fault.Deadlock -> ses.rtt_ms
-              | Fault.Server_crash -> assert false (* handled above *)
-            in
-            retry burn (Fault.failure_label failure)
+        | Fault.Fail (Fault.Drop, leg) -> lost Fault.Drop leg (timeout ())
+        | Fault.Fail (Fault.Reset, leg) -> lost Fault.Reset leg one_way
+        | Fault.Fail (((Fault.Server_busy | Fault.Deadlock) as f), leg) ->
+            lost f leg ses.rtt_ms
       in
       attempt 1);
   fut

@@ -2,11 +2,14 @@
 
     The synchronous driver ({!Sloth_driver.Connection}) owns its database:
     one client, one blocking round trip at a time.  This module puts a
-    server in front of the database instead.  Any number of {e sessions}
-    submit statement batches concurrently on a shared
-    {!Sloth_net.Des} simulation; each submission returns immediately with a
-    {!Sloth_net.Des.Future.t} that resolves when the reply lands back at
-    the client.
+    server in front of the database instead.  Like the driver, it executes
+    everything through a {!Sloth_storage.Shard.t}: the sharded deployment
+    given as [?sharding], or else a one-shard router over [db]
+    ({!Sloth_storage.Shard.of_database}) whose every call goes straight to
+    it.  Any number of {e sessions} submit statement batches concurrently
+    on a shared {!Sloth_net.Des} simulation; each submission returns
+    immediately with a {!Sloth_net.Des.Future.t} that resolves when the
+    reply lands back at the client.
 
     {b Cross-client sharing.}  Read-only batches are not executed on
     arrival: they wait in an admission queue for up to [window_ms], and
@@ -41,10 +44,11 @@
     token is tagged with the session id, and a retransmission of an
     already-executed batch (its response was lost) is answered from the
     server's outcome cache instead of being re-applied — the same
-    exactly-once contract as the synchronous driver, now per session.  The
-    cache is a bounded FIFO window ({!idempotency_window}); a token evicted
-    from it is answered with a replay-window-miss error unless the WAL can
-    vouch for it (see below), never silently re-applied.
+    exactly-once contract as the synchronous driver, now per session, and
+    the same code ({!Exactly_once}).  The cache is a bounded FIFO window
+    ({!idempotency_window}); a token evicted from it is answered with a
+    replay-window-miss error unless the WAL can vouch for it (see below),
+    never silently re-applied.
 
     {b Crash-restart.}  [Server_crash] decisions kill the server process
     for real.  Every in-flight batch — queued readers, a coalesced flush
@@ -213,8 +217,9 @@ val create :
     a crash and the start of recovery), [idempotency_window = 512] (cached
     replies kept for token replay).  [replication] attaches a WAL shipper
     whose primary must be [db] (raises [Invalid_argument] otherwise); see
-    the module preamble for what it changes.  [sharding] routes every
-    execution through a {!Sloth_storage.Shard} router whose shard 0 must be
+    the module preamble for what it changes.  [sharding] is the
+    {!Sloth_storage.Shard} router every execution goes through instead of
+    a one-shard router over [db]; its shard 0 must be
     [db] (raises [Invalid_argument] otherwise, and when combined with
     [replication] — a sharded deployment replicates {e per shard}, inside
     the router, via [Shard.create ~replicas_per_shard]): barriers
@@ -233,14 +238,13 @@ val create :
     counts read flushes whose shard fetches were served by caught-up
     followers in [replica_read_batches]; and surfaces every promotion the
     router performs — mid-protocol or during whole-process recovery — in
-    {!failover_log} and [failovers], re-pointing its shard-0 anchor at the
-    promoted engine. *)
+    {!failover_log} and [failovers]. *)
 
 val sim : t -> Sloth_net.Des.t
-val database : t -> Sloth_storage.Database.t
 
-val sharding : t -> Sloth_storage.Shard.t option
-(** The shard router this server fans out through, if any. *)
+val database : t -> Sloth_storage.Database.t
+(** Shard 0's current engine: [db] until a failover, then the promoted
+    primary. *)
 
 val open_session : ?rtt_ms:float -> ?fault:Sloth_net.Fault.t -> t -> session
 (** Register a client.  [rtt_ms] (default 0.5) is this session's round-trip

@@ -108,6 +108,12 @@ let is_write = function
   | Rollback ->
       true
 
+(** Explicit transaction control.  A batch containing any of these runs as
+    written instead of being wrapped in an implicit atomic transaction. *)
+let is_txn_control = function
+  | Begin_txn | Commit | Rollback -> true
+  | _ -> false
+
 let select_of ?(distinct = false) ?(items = [ Star ]) ?alias ?where
     ?(joins = []) ?(group_by = []) ?having ?(order_by = []) ?limit ?offset
     table =

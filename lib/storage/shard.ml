@@ -11,9 +11,9 @@
    log append is the commit point, and recovery resolves prepared-but-
    undecided chunks through {!Two_pc}.
 
-   A single-shard deployment bypasses all of this: every entry point
-   degenerates to a direct call on the one engine, so [shards = 1] is
-   byte-identical to the unsharded database. *)
+   A single unreplicated shard ([shards = 1], or [of_database]) bypasses
+   all of this: every entry point degenerates to a direct call on the one
+   engine, byte-identical to the unsharded database. *)
 
 module Ast = Sloth_sql.Ast
 module Fault = Sloth_net.Fault
@@ -70,6 +70,25 @@ type t = {
 
 let error fmt = Format.kasprintf (fun s -> raise (Database.Sql_error s)) fmt
 
+let make ~coord ~repl dbs =
+  {
+    dbs;
+    coord;
+    fault = None;
+    cur = None;
+    gather_pushdown = true;
+    repl;
+    ctr =
+      {
+        c_2pc = 0;
+        c_1pc = 0;
+        c_aborts = 0;
+        c_gathers = 0;
+        c_fanout = 0;
+        c_replica_reads = 0;
+      };
+  }
+
 let create ?cost ?checkpoint_every ?(replicas_per_shard = 0) ?ack_replicas
     ?promote_quorum ~shards () =
   if shards < 1 then invalid_arg "Shard.create: need at least one shard";
@@ -115,23 +134,14 @@ let create ?cost ?checkpoint_every ?(replicas_per_shard = 0) ?ack_replicas
       Some { r_sim = sim; r_groups = groups; r_failovers = [] }
     end
   in
-  {
-    dbs;
-    coord;
-    fault = None;
-    cur = None;
-    gather_pushdown = true;
-    repl;
-    ctr =
-      {
-        c_2pc = 0;
-        c_1pc = 0;
-        c_aborts = 0;
-        c_gathers = 0;
-        c_fanout = 0;
-        c_replica_reads = 0;
-      };
-  }
+  make ~coord ~repl dbs
+
+(* The wrapped engine keeps the durability its caller gave it: no WAL or
+   checkpoint store is attached and no in-doubt resolver installed.  A
+   one-shard unreplicated router never runs 2PC, so the coordinator's
+   in-memory decision log stays empty. *)
+let of_database db =
+  make ~coord:(Two_pc.create ~log:(Wal.mem ())) ~repl:None [| db |]
 
 let n_shards t = Array.length t.dbs
 let shard_db t i = t.dbs.(i)

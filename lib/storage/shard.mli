@@ -14,10 +14,10 @@
     prepared-but-undecided chunks through the decision log, and no decision
     means abort.
 
-    With [shards = 1] every entry point degenerates to a direct call on the
-    single engine — no gtids, no decision log, no gather reads — so a
-    single-shard deployment behaves byte-identically to an unsharded
-    {!Database}.
+    With one unreplicated shard ([shards = 1], or {!of_database}) every
+    entry point degenerates to a direct call on the single engine — no
+    gtids, no decision log, no gather reads — so such a deployment behaves
+    byte-identically to an unsharded {!Database}.
 
     Known restrictions: an UPDATE may not modify a sharded table's primary
     key (the row would have to migrate between shards), and cross-shard
@@ -69,6 +69,15 @@ val create :
     place; and cross-shard reads may be served by caught-up followers
     under a consistent cut.  With [replicas_per_shard = 0] (the default)
     every code path is byte-identical to an unreplicated deployment. *)
+
+val of_database : Database.t -> t
+(** A one-shard, unreplicated router over a caller-supplied engine: the
+    engine behind every unsharded server, so the drivers need only this
+    one engine type.  Every entry point is a direct call on [db].  Nothing
+    is attached to the engine: it keeps the durability its caller
+    configured (no WAL or checkpoint store is created) and gets no in-doubt
+    resolver.  {!crash_restart} is [Database.crash_restart db], which wipes
+    a non-durable engine. *)
 
 val n_shards : t -> int
 
