@@ -4,20 +4,24 @@
 
    Usage: main.exe [experiment ...] [--faults RATE] [--crash RATE]
           [--checkpoint-every N]
-   Experiments: fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 chaos
-   recovery failover throughput appendix micro.  With no argument
-   everything except `recovery`, `failover` and `throughput` runs (those
-   also write BENCH_recovery.json / BENCH_failover.json /
-   BENCH_throughput.json; run them explicitly).  `recovery` includes the
-   served-crash arm: the async multi-session server under seeded random
-   crashes, with its crash/epoch/redrive counters in the JSON.  `failover`
-   runs the replicated server — WAL-shipping followers, replica-served
-   reads, promote-on-crash — against the LSN-interleaved serial-replay
-   oracle.  [--faults
-   RATE] appends a one-line chaos summary at that fault rate (alone, it
-   runs only that summary); [--crash RATE] likewise appends a one-line
-   recovery summary with random server crashes at that rate, checkpointing
-   every N commits (default 4). *)
+   Experiments: fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 prefetch
+   policies chaos recovery failover sharding repl-shard throughput planner
+   mqo graph appendix micro.  With no argument everything except
+   `recovery`, `failover`, `sharding`, `repl-shard`, `throughput`, `mqo`
+   and `graph` runs; run those explicitly.  Each of them, and `planner`,
+   writes a deterministic BENCH_<name>.json (`repl-shard` writes
+   BENCH_repl_sharding.json) through the one emitter, Report.write_json.
+   `recovery` includes the served-crash arm: the async multi-session
+   server under seeded random crashes, with its crash/epoch/redrive
+   counters in the JSON.  `failover` runs the replicated server —
+   WAL-shipping followers, replica-served reads, promote-on-crash —
+   against the LSN-interleaved serial-replay oracle.  `sharding` and
+   `repl-shard` are one 2PC crash matrix (Sharding.sharding) run with 0
+   and 2 replicas per shard.  [--faults RATE] appends a one-line chaos
+   summary at that fault rate (alone, it runs only that summary);
+   [--crash RATE] likewise appends a one-line recovery summary with
+   random server crashes at that rate, checkpointing every N commits
+   (default 4). *)
 
 open Sloth_harness
 
@@ -121,10 +125,14 @@ let experiments =
     ("chaos", Chaos.chaos);
     ("recovery", fun () -> Recovery.recovery ~json:"BENCH_recovery.json" ());
     ("failover", fun () -> Failover.failover ~json:"BENCH_failover.json" ());
-    ("sharding", fun () -> Sharding.sharding ~json:"BENCH_sharding.json" ());
+    ( "sharding",
+      fun () ->
+        Sharding.sharding ~replicas_per_shard:0 ~json:"BENCH_sharding.json" ()
+    );
     ( "repl-shard",
       fun () ->
-        Repl_sharding.repl_sharding ~json:"BENCH_repl_sharding.json" () );
+        Sharding.sharding ~replicas_per_shard:2
+          ~json:"BENCH_repl_sharding.json" () );
     ( "throughput",
       fun () -> Throughput.served ~json:"BENCH_throughput.json" () );
     ("planner", fun () -> Planner_bench.planner ~json:"BENCH_planner.json" ());

@@ -1,5 +1,4 @@
 module Db = Sloth_storage.Database
-module Wal = Sloth_storage.Wal
 module Repl = Sloth_storage.Replication
 module Des = Sloth_net.Des
 module Fault = Sloth_net.Fault
@@ -8,28 +7,7 @@ module Ast = Sloth_sql.Ast
 
 (* --- workload ------------------------------------------------------------- *)
 
-let seed_sql =
-  "CREATE TABLE kv (id INT NOT NULL, v TEXT NOT NULL, n INT NOT NULL, \
-   PRIMARY KEY (id))"
-  :: List.init 20 (fun i ->
-         Printf.sprintf "INSERT INTO kv (id, v, n) VALUES (%d, 'r%d', %d)"
-           (i + 1) (i + 1)
-           ((i + 1) * 10))
-
-let parse sql =
-  match Sloth_sql.Parser.parse sql with
-  | stmt -> stmt
-  | exception Sloth_sql.Parser.Error msg ->
-      failwith ("failover workload: " ^ msg)
-
-let seed_db db = List.iter (fun sql -> ignore (Db.exec_sql db sql)) seed_sql
-
-let durable_db ~checkpoint_every () =
-  let db = Db.create () in
-  Db.enable_durability ~checkpoint_every ~wal:(Wal.mem ())
-    ~checkpoint:(Wal.mem ()) db;
-  seed_db db;
-  db
+let seed_rows = 20
 
 (* Closed-loop schedules: a session submits its next batch only after the
    previous reply resolved, so per-session program order is strict — which
@@ -71,11 +49,11 @@ let schedule ~seed ~si ~batches ~read_only =
       in
       let think = Random.State.float rng 2.0 in
       if read_only || Random.State.int rng 2 = 0 then
-        ( List.map parse
+        ( List.map Served_crash.parse
             (List.init (1 + Random.State.int rng 2) (fun _ -> read ())),
           None, think )
       else
-        ( List.map parse
+        ( List.map Served_crash.parse
             (write () :: (if Random.State.bool rng then [ write () ] else [])),
           Some (Printf.sprintf "fo%d-%d" si b),
           think ))
@@ -125,7 +103,7 @@ let verify srv ~delivered =
      [(e_lsn, writes-before-reads)]. *)
   let retained = oracle_order (retained_log srv) in
   let oracle = Db.create () in
-  seed_db oracle;
+  Served_crash.seed_db ~rows:seed_rows oracle;
   let oracle_out = Hashtbl.create 64 in
   List.iter
     (fun (e : Adm.entry) ->
@@ -244,7 +222,7 @@ type cell = {
 let run ?(label = "cell") ?(sessions = 6) ?(ro_sessions = 2) ?(batches = 12)
     ?(crash = 0.05) ?(checkpoint_every = 4) ?(rtts = [ 0.4; 0.9; 1.6 ])
     ?(drop = 0.0) ?(seed = 1) () =
-  let db = durable_db ~checkpoint_every () in
+  let db = Served_crash.durable_db ~rows:seed_rows ~checkpoint_every () in
   let sim = Des.create () in
   let repl = Repl.create ~sim ~primary:db () in
   List.iteri
@@ -345,51 +323,47 @@ let profiles =
 let checkpoint_intervals = [ 1; 4; 0 ]
 
 let json_of cells =
-  let b = Buffer.create 2048 in
-  Buffer.add_string b "{\n  \"experiment\": \"failover\",\n  \"cells\": [\n";
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"profile\": \"%s\", \"checkpoint_every\": %d, \"batches\": \
-            %d, \"errors\": %d, \"crashes\": %d, \"failovers\": %d, \
-            \"recoveries\": %d, \"torn_inflight\": %d, \"redriven\": %d, \
-            \"durable_acks\": %d, \"replica_batches\": %d, \"replica_rows\": \
-            %d, \"ryw_fallbacks\": %d, \"ryw_viol\": %d, \"lost\": %d, \
-            \"torn\": %d, \"chunks\": %d, \"snapshots\": %d, \
-            \"link_retransmits\": %d, \"replicas_left\": %d, \"identical\": \
-            %b, \"converged\": %b}"
-           c.fc_label c.fc_ck c.fc_batches c.fc_errors c.fc_crashes
-           c.fc_failovers c.fc_recoveries c.fc_torn_inflight c.fc_redriven
-           c.fc_durable_acks c.fc_replica_batches c.fc_replica_rows
-           c.fc_ryw_fallbacks c.fc_ryw_violations c.fc_lost_writes c.fc_torn
-           c.fc_chunks c.fc_snapshots c.fc_link_retransmits c.fc_replicas_left
-           c.fc_identical c.fc_converged))
-    cells;
-  let sum f = List.fold_left (fun acc c -> acc + f c) 0 cells in
-  Buffer.add_string b
-    (Printf.sprintf
-       "\n\
-       \  ],\n\
-       \  \"failovers_total\": %d,\n\
-       \  \"replica_read_batches_total\": %d,\n\
-       \  \"replica_rows_total\": %d,\n\
-       \  \"torn_total\": %d,\n\
-       \  \"lost_writes\": %d,\n\
-       \  \"ryw_violations\": %d,\n\
-       \  \"results_identical\": %b,\n\
-       \  \"replicas_converged\": %b\n\
-        }\n"
-       (sum (fun c -> c.fc_failovers))
-       (sum (fun c -> c.fc_replica_batches))
-       (sum (fun c -> c.fc_replica_rows))
-       (sum (fun c -> c.fc_torn))
-       (sum (fun c -> c.fc_lost_writes))
-       (sum (fun c -> c.fc_ryw_violations))
-       (List.for_all (fun c -> c.fc_identical) cells)
-       (List.for_all (fun c -> c.fc_converged) cells));
-  Buffer.contents b
+  let cell c =
+    Report.Obj
+      [
+        ("profile", String c.fc_label);
+        ("checkpoint_every", Int c.fc_ck);
+        ("batches", Int c.fc_batches);
+        ("errors", Int c.fc_errors);
+        ("crashes", Int c.fc_crashes);
+        ("failovers", Int c.fc_failovers);
+        ("recoveries", Int c.fc_recoveries);
+        ("torn_inflight", Int c.fc_torn_inflight);
+        ("redriven", Int c.fc_redriven);
+        ("durable_acks", Int c.fc_durable_acks);
+        ("replica_batches", Int c.fc_replica_batches);
+        ("replica_rows", Int c.fc_replica_rows);
+        ("ryw_fallbacks", Int c.fc_ryw_fallbacks);
+        ("ryw_viol", Int c.fc_ryw_violations);
+        ("lost", Int c.fc_lost_writes);
+        ("torn", Int c.fc_torn);
+        ("chunks", Int c.fc_chunks);
+        ("snapshots", Int c.fc_snapshots);
+        ("link_retransmits", Int c.fc_link_retransmits);
+        ("replicas_left", Int c.fc_replicas_left);
+        ("identical", Bool c.fc_identical);
+        ("converged", Bool c.fc_converged);
+      ]
+  in
+  let sum f = Report.Int (List.fold_left (fun acc c -> acc + f c) 0 cells) in
+  [
+    ("experiment", Report.String "failover");
+    ("cells", List (List.map cell cells));
+    ("failovers_total", sum (fun c -> c.fc_failovers));
+    ("replica_read_batches_total", sum (fun c -> c.fc_replica_batches));
+    ("replica_rows_total", sum (fun c -> c.fc_replica_rows));
+    ("torn_total", sum (fun c -> c.fc_torn));
+    ("lost_writes", sum (fun c -> c.fc_lost_writes));
+    ("ryw_violations", sum (fun c -> c.fc_ryw_violations));
+    ("results_identical", Bool (List.for_all (fun c -> c.fc_identical) cells));
+    ( "replicas_converged",
+      Bool (List.for_all (fun c -> c.fc_converged) cells) );
+  ]
 
 let failover ?json () =
   Report.section
@@ -453,10 +427,4 @@ let failover ?json () =
     (sum (fun c -> c.fc_failovers))
     (sum (fun c -> c.fc_replica_batches))
     (List.for_all (fun c -> c.fc_identical && c.fc_converged) cells);
-  Option.iter
-    (fun path ->
-      let oc = open_out path in
-      output_string oc (json_of cells);
-      close_out oc;
-      Printf.printf "  wrote %s\n" path)
-    json
+  Report.write_json json (json_of cells)

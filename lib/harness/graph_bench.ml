@@ -127,30 +127,30 @@ let run_suite db s =
 let ratio c = float_of_int c.iter_trips /. float_of_int (max 1 c.rec_trips)
 
 let json_of_cells cells =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n  \"experiment\": \"graph\",\n  \"cells\": [\n";
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"page\": \"%s\", \"roots\": %d, \"reached_total\": %d, \
-            \"round_trips_recursive\": %d, \"round_trips_iterative\": %d, \
-            \"trip_ratio\": %.1f, \"results_identical\": %b}"
-           c.c_page (List.length roots) c.reached c.rec_trips c.iter_trips
-           (ratio c) c.identical))
-    cells;
+  let cell c =
+    Report.Obj
+      [
+        ("page", String c.c_page);
+        ("roots", Int (List.length roots));
+        ("reached_total", Int c.reached);
+        ("round_trips_recursive", Int c.rec_trips);
+        ("round_trips_iterative", Int c.iter_trips);
+        ("trip_ratio", Float (1, ratio c));
+        ("results_identical", Bool c.identical);
+      ]
+  in
   let rec_total = List.fold_left (fun a c -> a + c.rec_trips) 0 cells in
   let iter_total = List.fold_left (fun a c -> a + c.iter_trips) 0 cells in
   let total_ratio = float_of_int iter_total /. float_of_int (max 1 rec_total) in
-  let identical = List.for_all (fun c -> c.identical) cells in
-  Buffer.add_string b
-    (Printf.sprintf
-       "\n  ],\n  \"round_trips_recursive_total\": %d,\n  \
-        \"round_trips_iterative_total\": %d,\n  \"trip_ratio_total\": %.1f,\n  \
-        \"ratio_at_least_10x\": %b,\n  \"results_identical\": %b\n}\n"
-       rec_total iter_total total_ratio (total_ratio >= 10.0) identical);
-  Buffer.contents b
+  [
+    ("experiment", Report.String "graph");
+    ("cells", List (List.map cell cells));
+    ("round_trips_recursive_total", Int rec_total);
+    ("round_trips_iterative_total", Int iter_total);
+    ("trip_ratio_total", Float (1, total_ratio));
+    ("ratio_at_least_10x", Bool (total_ratio >= 10.0));
+    ("results_identical", Bool (List.for_all (fun c -> c.identical) cells));
+  ]
 
 let graph ?json () =
   Report.section
@@ -189,10 +189,4 @@ let graph ?json () =
      vs %d (iterative), %.1fx fewer\n"
     identical rec_total iter_total
     (float_of_int iter_total /. float_of_int (max 1 rec_total));
-  Option.iter
-    (fun path ->
-      let oc = open_out path in
-      output_string oc (json_of_cells cells);
-      close_out oc;
-      Printf.printf "  wrote %s\n" path)
-    json
+  Report.write_json json (json_of_cells cells)

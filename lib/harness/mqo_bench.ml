@@ -241,35 +241,33 @@ let cell_row c =
   ]
 
 let json_of_cells cells =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n  \"experiment\": \"mqo\",\n  \"cells\": [\n";
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"app\": \"%s\", \"suite\": \"%s\", \"flushes\": %d, \
-            \"queries\": %d, \"rows_scanned_independent\": %d, \
-            \"rows_scanned_shared\": %d, \"rows_scanned_mqo\": %d, \
-            \"cache_hits\": %d, \"cache_misses\": %d, \
-            \"cache_invalidations\": %d, \"probe_sets_merged\": %d, \
-            \"joins_shared\": %d, \"results_identical\": %b}"
-           c.app c.suite c.flushes c.queries c.ind_scanned c.shr_scanned
-           c.mqo_scanned c.stats.Db.cache_hits c.stats.Db.cache_misses
-           c.stats.Db.cache_invalidations c.stats.Db.probe_sets_merged
-           c.stats.Db.joins_shared c.identical))
-    cells;
-  let hits = List.fold_left (fun a c -> a + c.stats.Db.cache_hits) 0 cells in
-  let saved =
-    List.fold_left (fun a c -> a + (c.shr_scanned - c.mqo_scanned)) 0 cells
+  let cell c =
+    Report.Obj
+      [
+        ("app", String c.app);
+        ("suite", String c.suite);
+        ("flushes", Int c.flushes);
+        ("queries", Int c.queries);
+        ("rows_scanned_independent", Int c.ind_scanned);
+        ("rows_scanned_shared", Int c.shr_scanned);
+        ("rows_scanned_mqo", Int c.mqo_scanned);
+        ("cache_hits", Int c.stats.Db.cache_hits);
+        ("cache_misses", Int c.stats.Db.cache_misses);
+        ("cache_invalidations", Int c.stats.Db.cache_invalidations);
+        ("probe_sets_merged", Int c.stats.Db.probe_sets_merged);
+        ("joins_shared", Int c.stats.Db.joins_shared);
+        ("results_identical", Bool c.identical);
+      ]
   in
-  let identical = List.for_all (fun c -> c.identical) cells in
-  Buffer.add_string b
-    (Printf.sprintf
-       "\n  ],\n  \"cache_hit_total\": %d,\n  \
-        \"rows_scanned_saved_vs_shared\": %d,\n  \"results_identical\": %b\n}\n"
-       hits saved identical);
-  Buffer.contents b
+  let sum f = Report.Int (List.fold_left (fun a c -> a + f c) 0 cells) in
+  [
+    ("experiment", Report.String "mqo");
+    ("cells", List (List.map cell cells));
+    ("cache_hit_total", sum (fun c -> c.stats.Db.cache_hits));
+    ( "rows_scanned_saved_vs_shared",
+      sum (fun c -> c.shr_scanned - c.mqo_scanned) );
+    ("results_identical", Bool (List.for_all (fun c -> c.identical) cells));
+  ]
 
 let mqo ?json () =
   Report.section
@@ -303,10 +301,4 @@ let mqo ?json () =
     "\n  results identical everywhere: %b; mqo never scans more: %b; total \
      cache hits: %d\n"
     identical never_more hits;
-  Option.iter
-    (fun path ->
-      let oc = open_out path in
-      output_string oc (json_of_cells cells);
-      close_out oc;
-      Printf.printf "  wrote %s\n" path)
-    json
+  Report.write_json json (json_of_cells cells)

@@ -178,29 +178,30 @@ let cell_row c =
   ]
 
 let json_of_cells cells =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n  \"experiment\": \"planner\",\n  \"cells\": [\n";
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"app\": \"%s\", \"workload\": \"%s\", \"batches\": %d, \
-            \"queries\": %d, \"rows_scanned_independent\": %d, \
-            \"rows_scanned_shared\": %d, \"batch_ms_independent\": %.6f, \
-            \"batch_ms_shared\": %.6f, \"results_identical\": %b}"
-           c.app c.workload c.batches c.ind.queries c.ind.scanned c.shr.scanned
-           c.ind.batch_ms c.shr.batch_ms c.identical))
-    cells;
-  let saved =
-    List.fold_left (fun acc c -> acc + (c.ind.scanned - c.shr.scanned)) 0 cells
+  let cell c =
+    Report.Obj
+      [
+        ("app", String c.app);
+        ("workload", String c.workload);
+        ("batches", Int c.batches);
+        ("queries", Int c.ind.queries);
+        ("rows_scanned_independent", Int c.ind.scanned);
+        ("rows_scanned_shared", Int c.shr.scanned);
+        ("batch_ms_independent", Float (6, c.ind.batch_ms));
+        ("batch_ms_shared", Float (6, c.shr.batch_ms));
+        ("results_identical", Bool c.identical);
+      ]
   in
-  let identical = List.for_all (fun c -> c.identical) cells in
-  Buffer.add_string b
-    (Printf.sprintf
-       "\n  ],\n  \"rows_scanned_saved\": %d,\n  \"results_identical\": %b\n}\n"
-       saved identical);
-  Buffer.contents b
+  [
+    ("experiment", Report.String "planner");
+    ("cells", List (List.map cell cells));
+    ( "rows_scanned_saved",
+      Int
+        (List.fold_left
+           (fun acc c -> acc + (c.ind.scanned - c.shr.scanned))
+           0 cells) );
+    ("results_identical", Bool (List.for_all (fun c -> c.identical) cells));
+  ]
 
 let app_cells (module A : Sloth_workload.App_sig.S) =
   let db = Runner.prepare (module A) in
@@ -262,10 +263,4 @@ let planner ?json () =
     "\n  results identical everywhere: %b; shared never scans more: %b; \
      strictly fewer somewhere: %b\n"
     identical reduced strict;
-  Option.iter
-    (fun path ->
-      let oc = open_out path in
-      output_string oc (json_of_cells cells);
-      close_out oc;
-      Printf.printf "  wrote %s\n" path)
-    json
+  Report.write_json json (json_of_cells cells)

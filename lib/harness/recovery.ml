@@ -1,5 +1,4 @@
 module Db = Sloth_storage.Database
-module Wal = Sloth_storage.Wal
 module Vclock = Sloth_net.Vclock
 module Link = Sloth_net.Link
 module Fault = Sloth_net.Fault
@@ -10,13 +9,7 @@ let rtt_ms = 2.0
 
 (* --- the chaos write workload -------------------------------------------- *)
 
-let seed_sql =
-  "CREATE TABLE kv (id INT NOT NULL, v TEXT NOT NULL, n INT NOT NULL, \
-   PRIMARY KEY (id))"
-  :: List.init 20 (fun i ->
-         Printf.sprintf "INSERT INTO kv (id, v, n) VALUES (%d, 'r%d', %d)"
-           (i + 1) (i + 1)
-           ((i + 1) * 10))
+let seed_rows = 20
 
 (* Each batch is a multi-statement write transaction; together they walk the
    table through inserts, updates and deletes so every crash point lands on
@@ -66,40 +59,16 @@ let batches_sql =
     ];
   ]
 
-let parse sql =
-  match Sloth_sql.Parser.parse sql with
-  | stmt -> stmt
-  | exception Sloth_sql.Parser.Error msg ->
-      failwith ("recovery workload: " ^ msg)
-
-let batches = List.map (List.map parse) batches_sql
+let batches = List.map (List.map Served_crash.parse) batches_sql
 let n_batches = List.length batches
 let token_of i = Printf.sprintf "rec-%d" i
-
-let seed_db db = List.iter (fun sql -> ignore (Db.exec_sql db sql)) seed_sql
-
-let durable_db ~checkpoint_every () =
-  let db = Db.create () in
-  Db.enable_durability ~checkpoint_every ~wal:(Wal.mem ())
-    ~checkpoint:(Wal.mem ()) db;
-  seed_db db;
-  db
 
 (* Fingerprints of the intended state after the seed and after each batch,
    computed once on a plain fault-free database. *)
 let shadow_fps =
   lazy
-    (let db = Db.create () in
-     seed_db db;
-     let fps = Array.make (n_batches + 1) "" in
-     fps.(0) <- Db.fingerprint db;
-     List.iteri
-       (fun i stmts ->
-         Db.atomically db (fun () ->
-             List.iter (fun s -> ignore (Db.exec db s)) stmts);
-         fps.(i + 1) <- Db.fingerprint db)
-       batches;
-     fps)
+    (Served_crash.shadow_fingerprints ~rows:seed_rows
+       ~fingerprint:Db.fingerprint batches)
 
 (* --- one crash run -------------------------------------------------------- *)
 
@@ -113,9 +82,9 @@ type verdict = {
 (* Crash the server on batch [crash_at]'s round trip (on the given leg),
    verify the recovered state is exactly pre- or post-batch, then reconnect
    and re-drive the same idempotency token to completion. *)
-let crash_run ~checkpoint_every ~crash_at ~leg =
+let crash_run ~checkpoint_every ~crash_at ~leg:(leg_label, leg) =
   let shadow = Lazy.force shadow_fps in
-  let db = durable_db ~checkpoint_every () in
+  let db = Served_crash.durable_db ~rows:seed_rows ~checkpoint_every () in
   let link = Link.create ~rtt_ms (Vclock.create ()) in
   let conn = Conn.create db link in
   Conn.set_retry_policy conn Conn.Retry_policy.no_retry;
@@ -135,7 +104,11 @@ let crash_run ~checkpoint_every ~crash_at ~leg =
     | () -> false
     | exception Conn.Retries_exhausted _ -> true
   in
-  assert aborted;
+  if not aborted then
+    Db.invariant_violation
+      "recovery: 1 shard, checkpoint every %d, crash point batch %d, leg %s: \
+       the scripted crash did not abort the batch"
+      checkpoint_every crash_at leg_label;
   let stats = Db.last_recovery db in
   let recovered = Db.fingerprint db in
   let recovered_to =
@@ -193,7 +166,7 @@ let run_cell ~ck ~leg_label ~leg =
   and wal_bytes = ref 0
   and rec_ms = ref 0.0 in
   for crash_at = 0 to n_batches - 1 do
-    let v = crash_run ~checkpoint_every:ck ~crash_at ~leg in
+    let v = crash_run ~checkpoint_every:ck ~crash_at ~leg:(leg_label, leg) in
     (match v.recovered_to with
     | `Pre -> incr pre
     | `Post -> incr post
@@ -231,92 +204,64 @@ let run_cell ~ck ~leg_label ~leg =
    replay of the (crash-epoch-annotated) execution log and the recovered
    database must fingerprint-equal the replay. *)
 
-type served = {
-  sv_sessions : int;
-  sv_batches : int;  (** batches submitted across all sessions *)
-  sv_errors : int;  (** batches answered with [Error] *)
-  sv_crashes : int;  (** server crashes taken *)
-  sv_epochs : int;  (** final crash epoch (= crashes taken) *)
-  sv_recoveries : int;
-  sv_torn_inflight : int;  (** in-flight batches torn by crashes *)
-  sv_redriven : int;  (** torn batches re-driven to completion *)
-  sv_durable_acks : int;  (** re-drives answered from the WAL token registry *)
-  sv_reconnects : int;  (** per-session reconnect attempts, summed *)
-  sv_retransmits : int;
-  sv_torn : int;  (** batches left torn at quiescence — must be 0 *)
-  sv_identical : bool;  (** delivered results match the serial replay *)
-}
-
 let served_crash ?(crash = 0.06) ?(checkpoint_every = 2) () =
-  let db = durable_db ~checkpoint_every () in
+  let db = Served_crash.durable_db ~rows:seed_rows ~checkpoint_every () in
   let oracle = Db.create () in
-  seed_db oracle;
-  let r =
-    Served_crash.run ~deployment:(Sloth_storage.Shard.of_database db)
-      ~schedule:
-        (Served_crash.schedule ~seed:0x51c7ed ~keys:25 ~token_prefix:"sv")
-      ~fault_seed:100
-      ~oracle:
-        {
-          Served_crash.replay = Db.exec_batch oracle;
-          agrees = (fun () -> Db.fingerprint db = Db.fingerprint oracle);
-        }
-      ~crash ()
-  in
-  let s = Adm.stats r.server in
-  {
-    sv_sessions = r.sessions;
-    sv_batches = r.batches;
-    sv_errors = r.errors;
-    sv_crashes = s.Adm.crashes;
-    sv_epochs = Adm.epoch r.server;
-    sv_recoveries = s.Adm.recoveries;
-    sv_torn_inflight = s.Adm.torn_inflight;
-    sv_redriven = s.Adm.redriven;
-    sv_durable_acks = s.Adm.durable_acks;
-    sv_reconnects = r.reconnects;
-    sv_retransmits = s.Adm.retransmits;
-    sv_torn = r.torn;
-    sv_identical = r.identical;
-  }
+  Served_crash.seed_db ~rows:seed_rows oracle;
+  Served_crash.run ~deployment:(Sloth_storage.Shard.of_database db)
+    ~schedule:
+      (Served_crash.schedule ~seed:0x51c7ed ~keys:25 ~token_prefix:"sv")
+    ~fault_seed:100
+    ~oracle:
+      {
+        Served_crash.replay = Db.exec_batch oracle;
+        agrees = (fun () -> Db.fingerprint db = Db.fingerprint oracle);
+      }
+    ~crash ()
 
 (* [mean_recovery_ms] is real wall-clock and varies run to run; it is
    printed in the report table but deliberately kept out of the JSON so the
    committed artifact is reproducible byte for byte. *)
-let json_of_cells cells served =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n  \"experiment\": \"recovery\",\n  \"cells\": [\n";
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"checkpoint_every\": %d, \"leg\": \"%s\", \"runs\": %d, \
-            \"pre\": %d, \"post\": %d, \"torn\": %d, \"resume_exact_once\": \
-            %d, \"final_ok\": %d, \"mean_replayed_txns\": %.2f, \
-            \"mean_wal_bytes\": %.1f}"
-           c.ck c.leg_label c.runs c.pre c.post c.torn c.resume_ok c.final_ok
-           c.mean_replayed_txns c.mean_wal_bytes))
-    cells;
-  Buffer.add_string b
-    (Printf.sprintf
-       "\n\
-       \  ],\n\
-       \  \"served_crash\": {\"sessions\": %d, \"batches\": %d, \"errors\": \
-        %d, \"crashes\": %d, \"epochs\": %d, \"recoveries\": %d, \
-        \"torn_inflight\": %d, \"redriven\": %d, \"durable_acks\": %d, \
-        \"reconnects\": %d, \"retransmits\": %d, \"torn\": %d, \
-        \"results_identical\": %b},\n"
-       served.sv_sessions served.sv_batches served.sv_errors served.sv_crashes
-       served.sv_epochs served.sv_recoveries served.sv_torn_inflight
-       served.sv_redriven served.sv_durable_acks served.sv_reconnects
-       served.sv_retransmits served.sv_torn served.sv_identical);
-  let torn_total =
-    List.fold_left (fun acc c -> acc + c.torn) 0 cells + served.sv_torn
+let json_of_cells cells (sv : Served_crash.result) =
+  let s = Adm.stats sv.server in
+  let cell c =
+    Report.Obj
+      [
+        ("checkpoint_every", Int c.ck);
+        ("leg", String c.leg_label);
+        ("runs", Int c.runs);
+        ("pre", Int c.pre);
+        ("post", Int c.post);
+        ("torn", Int c.torn);
+        ("resume_exact_once", Int c.resume_ok);
+        ("final_ok", Int c.final_ok);
+        ("mean_replayed_txns", Float (2, c.mean_replayed_txns));
+        ("mean_wal_bytes", Float (1, c.mean_wal_bytes));
+      ]
   in
-  Buffer.add_string b
-    (Printf.sprintf "  \"torn_total\": %d\n}\n" torn_total);
-  Buffer.contents b
+  [
+    ("experiment", Report.String "recovery");
+    ("cells", List (List.map cell cells));
+    ( "served_crash",
+      Obj
+        [
+          ("sessions", Int sv.sessions);
+          ("batches", Int sv.batches);
+          ("errors", Int sv.errors);
+          ("crashes", Int s.crashes);
+          ("epochs", Int (Adm.epoch sv.server));
+          ("recoveries", Int s.recoveries);
+          ("torn_inflight", Int s.torn_inflight);
+          ("redriven", Int s.redriven);
+          ("durable_acks", Int s.durable_acks);
+          ("reconnects", Int sv.reconnects);
+          ("retransmits", Int s.retransmits);
+          ("torn", Int sv.torn);
+          ("results_identical", Bool sv.identical);
+        ] );
+    ( "torn_total",
+      Int (List.fold_left (fun acc c -> acc + c.torn) 0 cells + sv.torn) );
+  ]
 
 let recovery ?json () =
   Report.section "Recovery: crash durability via WAL + checkpoints";
@@ -386,6 +331,7 @@ let recovery ?json () =
     torn_total exact;
   Report.subsection "served-crash: async multi-session server";
   let sv = served_crash () in
+  let s = Adm.stats sv.server in
   Printf.printf
     "  (%d closed-loop sessions x %d batches on the admission layer, seeded \
      random server\n\
@@ -393,22 +339,15 @@ let recovery ?json () =
      idempotency path and\n\
     \   delivered results checked against a serial replay of the execution \
      log)\n"
-    sv.sv_sessions Served_crash.batches_per_session;
+    sv.sessions Served_crash.batches_per_session;
   Printf.printf
     "  crashes %d (epochs %d, recoveries %d), torn in-flight %d, re-driven \
      %d,\n\
     \  durable acks %d, reconnects %d, retransmits %d, errors %d\n\
     \  torn at quiescence: %d, results identical to serial replay: %b\n"
-    sv.sv_crashes sv.sv_epochs sv.sv_recoveries sv.sv_torn_inflight
-    sv.sv_redriven sv.sv_durable_acks sv.sv_reconnects sv.sv_retransmits
-    sv.sv_errors sv.sv_torn sv.sv_identical;
-  Option.iter
-    (fun path ->
-      let oc = open_out path in
-      output_string oc (json_of_cells !all_cells sv);
-      close_out oc;
-      Printf.printf "  wrote %s\n" path)
-    json
+    s.crashes (Adm.epoch sv.server) s.recoveries s.torn_inflight s.redriven
+    s.durable_acks sv.reconnects s.retransmits sv.errors sv.torn sv.identical;
+  Report.write_json json (json_of_cells !all_cells sv)
 
 (* --- tracked one-liner ----------------------------------------------------
    Random crashes at rate [crash] under the default retry policy: the driver
@@ -418,7 +357,7 @@ let recovery ?json () =
 
 let tracked_batches =
   List.init 40 (fun j ->
-      List.map parse
+      List.map Served_crash.parse
         [
           Printf.sprintf "INSERT INTO kv (id, v, n) VALUES (%d, 't%d', %d)"
             (100 + j) j (j * 3);
@@ -428,15 +367,14 @@ let tracked_batches =
         ])
 
 let tracked ?(crash = 0.05) ?(checkpoint_every = 4) () =
-  let shadow_db = Db.create () in
-  seed_db shadow_db;
-  List.iter
-    (fun stmts ->
-      Db.atomically shadow_db (fun () ->
-          List.iter (fun s -> ignore (Db.exec shadow_db s)) stmts))
-    tracked_batches;
-  let shadow = Db.fingerprint shadow_db in
-  let db = durable_db ~checkpoint_every () in
+  let shadow =
+    let fps =
+      Served_crash.shadow_fingerprints ~rows:seed_rows
+        ~fingerprint:Db.fingerprint tracked_batches
+    in
+    fps.(Array.length fps - 1)
+  in
+  let db = Served_crash.durable_db ~rows:seed_rows ~checkpoint_every () in
   let link = Link.create ~rtt_ms (Vclock.create ()) in
   let conn = Conn.create db link in
   Conn.set_retry_policy conn

@@ -47,3 +47,59 @@ let bar ~label ?(width = 50) value ~max =
     else int_of_float (Float.round (value /. max *. float_of_int width))
   in
   Printf.printf "  %-28s %s %.1f\n" label (String.make (Stdlib.max 0 n) '#') value
+
+(* --- JSON ---------------------------------------------------------------- *)
+
+type json =
+  | Int of int
+  | Float of int * float
+  | Bool of bool
+  | String of string
+  | Obj of (string * json) list
+  | List of json list
+
+let quote s =
+  let b = Buffer.create (String.length s + 2) in
+  Buffer.add_char b '"';
+  String.iter
+    (fun c ->
+      if c = '"' || c = '\\' then Buffer.add_char b '\\';
+      Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
+let rec inline = function
+  | Int n -> string_of_int n
+  | Float (decimals, x) -> Printf.sprintf "%.*f" decimals x
+  | Bool b -> string_of_bool b
+  | String s -> quote s
+  | Obj fields ->
+      let field (k, v) = quote k ^ ": " ^ inline v in
+      "{" ^ String.concat ", " (List.map field fields) ^ "}"
+  | List vs -> "[" ^ String.concat ", " (List.map inline vs) ^ "]"
+
+(* Top-level keys one per line; a top-level list puts one element per line;
+   everything below that renders inline. *)
+let json_to_string fields =
+  let top (k, v) =
+    let body =
+      match v with
+      | List vs ->
+          "[\n"
+          ^ String.concat ",\n" (List.map (fun v -> "    " ^ inline v) vs)
+          ^ "\n  ]"
+      | v -> inline v
+    in
+    "  " ^ quote k ^ ": " ^ body
+  in
+  "{\n" ^ String.concat ",\n" (List.map top fields) ^ "\n}\n"
+
+let write_json path fields =
+  Option.iter
+    (fun path ->
+      let oc = open_out path in
+      output_string oc (json_to_string fields);
+      close_out oc;
+      Printf.printf "  wrote %s\n" path)
+    path

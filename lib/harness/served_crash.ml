@@ -1,20 +1,55 @@
 module Db = Sloth_storage.Database
+module Wal = Sloth_storage.Wal
 module Shard = Sloth_storage.Shard
 module Rs = Sloth_storage.Result_set
 module Fault = Sloth_net.Fault
 module Des = Sloth_net.Des
 module Adm = Sloth_server.Admission
 
-type batch = Sloth_sql.Ast.stmt list * string option * float
+(* --- the kv crash workload ------------------------------------------------ *)
 
-let n_sessions = 6
-let batches_per_session = 10
+let seed_sql ~rows =
+  "CREATE TABLE kv (id INT NOT NULL, v TEXT NOT NULL, n INT NOT NULL, \
+   PRIMARY KEY (id))"
+  :: List.init rows (fun i ->
+         Printf.sprintf "INSERT INTO kv (id, v, n) VALUES (%d, 'r%d', %d)"
+           (i + 1) (i + 1)
+           ((i + 1) * 10))
 
 let parse sql =
   match Sloth_sql.Parser.parse sql with
   | stmt -> stmt
-  | exception Sloth_sql.Parser.Error msg ->
-      failwith ("served crash workload: " ^ msg)
+  | exception Sloth_sql.Parser.Error msg -> failwith ("kv workload: " ^ msg)
+
+let seed_db ~rows db =
+  List.iter (fun sql -> ignore (Db.exec_sql db sql)) (seed_sql ~rows)
+
+let durable_db ~rows ~checkpoint_every () =
+  let db = Db.create () in
+  Db.enable_durability ~checkpoint_every ~wal:(Wal.mem ())
+    ~checkpoint:(Wal.mem ()) db;
+  seed_db ~rows db;
+  db
+
+let shadow_fingerprints ~rows ~fingerprint batches =
+  let db = Db.create () in
+  seed_db ~rows db;
+  let fps = Array.make (List.length batches + 1) "" in
+  fps.(0) <- fingerprint db;
+  List.iteri
+    (fun i stmts ->
+      Db.atomically db (fun () ->
+          List.iter (fun s -> ignore (Db.exec db s)) stmts);
+      fps.(i + 1) <- fingerprint db)
+    batches;
+  fps
+
+(* --- the served crash run ------------------------------------------------ *)
+
+type batch = Sloth_sql.Ast.stmt list * string option * float
+
+let n_sessions = 6
+let batches_per_session = 10
 
 let schedule ~seed ~keys ~token_prefix si =
   let rng = Random.State.make [| seed; si |] in
@@ -82,6 +117,7 @@ let reply_agrees ~tokened replayed outs =
 
 type result = {
   server : Adm.t;
+  deployment : Shard.t;
   sessions : int;
   batches : int;
   errors : int;
@@ -154,6 +190,7 @@ let run ~deployment ~schedule ~fault_seed ~oracle ~crash () =
   let batches = n_sessions * batches_per_session in
   {
     server = srv;
+    deployment;
     sessions = n_sessions;
     batches;
     errors =

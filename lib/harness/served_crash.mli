@@ -1,5 +1,6 @@
-(** The served crash run shared by the recovery, sharding and
-    replicated-sharding experiments.
+(** The kv crash workload shared by the recovery, sharding and failover
+    experiments, and the served crash run shared by recovery and both
+    sharding matrices.
 
     Several closed-loop sessions submit seeded batch schedules to one
     {!Sloth_server.Admission} server in front of a deployment, while seeded
@@ -8,6 +9,35 @@
     Afterwards the server's execution log is replayed serially on an
     oracle, and every delivered reply must match that replay (or, for a
     tokened batch, be a durable ack). *)
+
+(** {2 The kv crash workload}
+
+    The [kv (id INT, v TEXT, n INT)] table every crash experiment writes
+    to.  Each experiment keeps its own batches and schedules. *)
+
+val seed_sql : rows:int -> string list
+(** [CREATE TABLE kv] and rows [1..rows] as [(i, 'r<i>', 10 * i)]. *)
+
+val parse : string -> Sloth_sql.Ast.stmt
+(** Parse one workload statement; fails loudly on a malformed one. *)
+
+val seed_db : rows:int -> Sloth_storage.Database.t -> unit
+(** Run {!seed_sql} on an engine. *)
+
+val durable_db :
+  rows:int -> checkpoint_every:int -> unit -> Sloth_storage.Database.t
+(** A fresh engine with in-memory WAL and checkpoint storage, seeded after
+    durability is on. *)
+
+val shadow_fingerprints :
+  rows:int ->
+  fingerprint:(Sloth_storage.Database.t -> string) ->
+  Sloth_sql.Ast.stmt list list ->
+  string array
+(** Fingerprints of the intended state after the seed (index 0) and after
+    each batch, each applied atomically on a plain fault-free engine. *)
+
+(** {2 The served crash run} *)
 
 type batch = Sloth_sql.Ast.stmt list * string option * float
 (** [(stmts, token, think_ms)]: one submission and the think time after
@@ -49,6 +79,8 @@ val reply_agrees :
 
 type result = {
   server : Sloth_server.Admission.t;
+      (** read its counters with {!Sloth_server.Admission.stats} *)
+  deployment : Sloth_storage.Shard.t;  (** the [~deployment] that was run *)
   sessions : int;
   batches : int;  (** batches submitted across all sessions *)
   errors : int;  (** batches answered with [Error] *)

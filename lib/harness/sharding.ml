@@ -1,18 +1,11 @@
 module Db = Sloth_storage.Database
 module Shard = Sloth_storage.Shard
-module Wal = Sloth_storage.Wal
 module Fault = Sloth_net.Fault
 module Adm = Sloth_server.Admission
 
 (* --- the cross-shard write workload -------------------------------------- *)
 
-let seed_sql =
-  "CREATE TABLE kv (id INT NOT NULL, v TEXT NOT NULL, n INT NOT NULL, \
-   PRIMARY KEY (id))"
-  :: List.init 24 (fun i ->
-         Printf.sprintf "INSERT INTO kv (id, v, n) VALUES (%d, 'r%d', %d)"
-           (i + 1) (i + 1)
-           ((i + 1) * 10))
+let seed_rows = 24
 
 (* Every batch touches three distinct primary keys, and every routed write
    definitely mutates its shard (inserts are fresh, updates and deletes hit
@@ -74,21 +67,21 @@ let batches_sql =
     ];
   ]
 
-let parse sql =
-  match Sloth_sql.Parser.parse sql with
-  | stmt -> stmt
-  | exception Sloth_sql.Parser.Error msg ->
-      failwith ("sharding workload: " ^ msg)
-
-let batches = List.map (List.map parse) batches_sql
+let batches = List.map (List.map Served_crash.parse) batches_sql
 let n_batches = List.length batches
 let token_of i = Printf.sprintf "sh-%d" i
 
-let seed_shard sh = List.iter (fun sql -> ignore (Shard.exec_sql sh sql)) seed_sql
-let seed_db db = List.iter (fun sql -> ignore (Db.exec_sql db sql)) seed_sql
+let seed_shard sh =
+  List.iter
+    (fun sql -> ignore (Shard.exec_sql sh sql))
+    (Served_crash.seed_sql ~rows:seed_rows)
 
-let deployment ~shards ~checkpoint_every () =
-  let sh = Shard.create ~checkpoint_every ~shards () in
+(* [replicas_per_shard = 0] is a plain sharded deployment; above that every
+   shard is a WAL-shipping replication group, and a crash of a shard
+   primary promotes its most caught-up follower instead of recovering in
+   place. *)
+let deployment ~replicas_per_shard ~shards ~checkpoint_every () =
+  let sh = Shard.create ~checkpoint_every ~replicas_per_shard ~shards () in
   seed_shard sh;
   sh
 
@@ -106,17 +99,8 @@ let drive sh i =
    ground truth. *)
 let shadow_lfps =
   lazy
-    (let db = Db.create () in
-     seed_db db;
-     let fps = Array.make (n_batches + 1) "" in
-     fps.(0) <- Shard.logical_fingerprint_db db;
-     List.iteri
-       (fun i stmts ->
-         Db.atomically db (fun () ->
-             List.iter (fun s -> ignore (Db.exec db s)) stmts);
-         fps.(i + 1) <- Shard.logical_fingerprint_db db)
-       batches;
-     fps)
+    (Served_crash.shadow_fingerprints ~rows:seed_rows
+       ~fingerprint:Shard.logical_fingerprint_db batches)
 
 let shadow_lfp i = (Lazy.force shadow_lfps).(i)
 
@@ -128,8 +112,12 @@ type layout = {
   l_ref : string list;  (** per-shard fingerprints of the clean final state *)
 }
 
+(* The layout is probed on an UNREPLICATED deployment (replication consumes
+   no extra decision points), and its reference fingerprints double as a
+   transparency check: a replicated run that crashed and promoted must land
+   on the same per-shard heaps as a plain crash-free run. *)
 let probe ~shards ~checkpoint_every =
-  let sh = deployment ~shards ~checkpoint_every () in
+  let sh = deployment ~replicas_per_shard:0 ~shards ~checkpoint_every () in
   let f = Fault.create (Fault.plan ()) in
   Shard.set_fault sh (Some f);
   let starts = Array.make n_batches 0 and trips = Array.make n_batches 0 in
@@ -139,7 +127,11 @@ let probe ~shards ~checkpoint_every =
     trips.(i) <- Fault.trips f - starts.(i)
   done;
   Shard.set_fault sh None;
-  assert (Shard.logical_fingerprint sh = (Lazy.force shadow_lfps).(n_batches));
+  if Shard.logical_fingerprint sh <> shadow_lfp n_batches then
+    Db.invariant_violation
+      "sharding probe: %d shards, checkpoint every %d, crash point none, leg \
+       none: the fault-free run diverged from the shadow state"
+      shards checkpoint_every;
   { l_start = starts; l_trips = trips; l_ref = Shard.shard_fingerprints sh }
 
 (* --- the crash matrix ------------------------------------------------------ *)
@@ -246,25 +238,51 @@ type case_result = {
   cr_replay : bool;  (** per-shard fingerprints equal the clean replay *)
   cr_in_doubt_committed : int;
   cr_in_doubt_aborted : int;
+  cr_promotions : int;  (** shard-primary promotions this case performed *)
+  cr_prepared_survived : bool;
+      (** post-decision crashes only: the decided transaction is durably
+          applied after recovery (and after any promotion) *)
 }
 
-let run_case ~shards ~checkpoint_every ~layout ~crash_at ~(role : role) =
+(* Crash points whose window opens after the coordinator's decision is on
+   disk: from there on the transaction is committed, and no single node
+   death may un-commit it. *)
+let post_decision_roles = [ "decision/after-log"; "ack-first"; "ack-last" ]
+
+(* [role = None] is the follower-death axis: no crash is scripted — one
+   follower of the shard the batch is about to touch is removed instead.
+   The client must see a plain ack (the quorum denominator shrank with the
+   cluster), so anything else counts as that case's misfire. *)
+let run_case ~replicas_per_shard ~shards ~checkpoint_every ~layout ~crash_at
+    role =
   let shadow = Lazy.force shadow_lfps in
-  let sh = deployment ~shards ~checkpoint_every () in
-  let f = Fault.create (Fault.plan ()) in
-  Fault.script ~target:role.r_target f ~first:role.r_first ~last:role.r_last
-    Fault.Server_crash role.r_leg;
-  Shard.set_fault sh (Some f);
+  let sh = deployment ~replicas_per_shard ~shards ~checkpoint_every () in
+  let fault =
+    Option.map
+      (fun r ->
+        let f = Fault.create (Fault.plan ()) in
+        Fault.script ~target:r.r_target f ~first:r.r_first ~last:r.r_last
+          Fault.Server_crash r.r_leg;
+        f)
+      role
+  in
+  Shard.set_fault sh fault;
   for i = 0 to crash_at - 1 do
     drive sh i
   done;
+  if Option.is_none role then Shard.kill_follower sh (crash_at mod shards);
   let acked =
     match drive sh crash_at with
     | () -> true
     | exception Db.Sql_error _ -> false
   in
   Shard.set_fault sh None;
-  let misfire = Fault.count f Fault.Server_crash <> 1 in
+  let label, misfire =
+    match (role, fault) with
+    | Some r, Some f -> (r.r_label, Fault.count f Fault.Server_crash <> 1)
+    | _ -> ("follower-dies", not acked)
+  in
+  Shard.quiesce sh;
   let applied = Shard.token_applied sh (token_of crash_at) in
   let lfp = Shard.logical_fingerprint sh in
   let atomic =
@@ -282,10 +300,11 @@ let run_case ~shards ~checkpoint_every ~layout ~crash_at ~(role : role) =
   for i = crash_at + 1 to n_batches - 1 do
     drive sh i
   done;
+  Shard.quiesce sh;
   let final = Shard.logical_fingerprint sh = shadow.(n_batches) in
   let replay = Shard.shard_fingerprints sh = layout.l_ref in
   {
-    cr_role = role.r_label;
+    cr_role = label;
     cr_acked = acked;
     cr_applied = applied;
     cr_atomic = atomic;
@@ -297,10 +316,14 @@ let run_case ~shards ~checkpoint_every ~layout ~crash_at ~(role : role) =
     cr_replay = replay;
     cr_in_doubt_committed = idc;
     cr_in_doubt_aborted = ida;
+    cr_promotions = List.length (Shard.failovers sh);
+    cr_prepared_survived =
+      (not (List.mem label post_decision_roles)) || applied;
   }
 
 type config_result = {
   cfg_shards : int;
+  cfg_replicas_per_shard : int;
   cfg_checkpoint_every : int;
   cfg_cases : int;
   cfg_acked : int;
@@ -308,31 +331,37 @@ type config_result = {
   cfg_aborted : int;
   cfg_in_doubt_committed : int;
   cfg_in_doubt_aborted : int;
+  cfg_promotions : int;
   cfg_atomicity_violations : int;
   cfg_lost_writes : int;
   cfg_audit_violations : int;
+  cfg_prepared_survival_violations : int;
   cfg_misfires : int;
   cfg_resume_ok : int;
   cfg_final_ok : int;
   cfg_replay_ok : int;
-  cfg_by_role : (string * int * int * int) list;
-      (** role, cases, acked, applied — matrix rows for the report *)
+  cfg_by_role : (string * int * int * int * int) list;
+      (** role, cases, acked, applied, promotions — matrix rows for the
+          report *)
 }
 
-let run_config ~shards ~checkpoint_every =
+let sum f xs = List.fold_left (fun acc x -> acc + f x) 0 xs
+
+let run_config ~replicas_per_shard ~shards ~checkpoint_every =
   let layout = probe ~shards ~checkpoint_every in
-  let results = ref [] in
-  for crash_at = 0 to n_batches - 1 do
-    List.iter
-      (fun role ->
-        results :=
-          run_case ~shards ~checkpoint_every ~layout ~crash_at ~role
-          :: !results)
-      (roles_of ~t0:layout.l_start.(crash_at) ~trips:layout.l_trips.(crash_at))
-  done;
-  let rs = List.rev !results in
+  let follower = if replicas_per_shard > 0 then [ None ] else [] in
+  let rs =
+    List.concat
+      (List.init n_batches (fun crash_at ->
+           List.map
+             (run_case ~replicas_per_shard ~shards ~checkpoint_every ~layout
+                ~crash_at)
+             (List.map Option.some
+                (roles_of ~t0:layout.l_start.(crash_at)
+                   ~trips:layout.l_trips.(crash_at))
+             @ follower)))
+  in
   let count p = List.length (List.filter p rs) in
-  let sum f = List.fold_left (fun acc r -> acc + f r) 0 rs in
   let by_role =
     List.fold_left
       (fun acc r ->
@@ -343,20 +372,25 @@ let run_config ~shards ~checkpoint_every =
            ( label,
              List.length mine,
              List.length (List.filter (fun r -> r.cr_acked) mine),
-             List.length (List.filter (fun r -> r.cr_applied) mine) ))
+             List.length (List.filter (fun r -> r.cr_applied) mine),
+             sum (fun r -> r.cr_promotions) mine ))
   in
   {
     cfg_shards = shards;
+    cfg_replicas_per_shard = replicas_per_shard;
     cfg_checkpoint_every = checkpoint_every;
     cfg_cases = List.length rs;
     cfg_acked = count (fun r -> r.cr_acked);
     cfg_applied = count (fun r -> r.cr_applied);
     cfg_aborted = count (fun r -> not r.cr_applied);
-    cfg_in_doubt_committed = sum (fun r -> r.cr_in_doubt_committed);
-    cfg_in_doubt_aborted = sum (fun r -> r.cr_in_doubt_aborted);
+    cfg_in_doubt_committed = sum (fun r -> r.cr_in_doubt_committed) rs;
+    cfg_in_doubt_aborted = sum (fun r -> r.cr_in_doubt_aborted) rs;
+    cfg_promotions = sum (fun r -> r.cr_promotions) rs;
     cfg_atomicity_violations = count (fun r -> not r.cr_atomic);
     cfg_lost_writes = count (fun r -> r.cr_lost);
-    cfg_audit_violations = sum (fun r -> r.cr_audit);
+    cfg_audit_violations = sum (fun r -> r.cr_audit) rs;
+    cfg_prepared_survival_violations =
+      count (fun r -> not r.cr_prepared_survived);
     cfg_misfires = count (fun r -> r.cr_misfire);
     cfg_resume_ok = count (fun r -> r.cr_resume);
     cfg_final_ok = count (fun r -> r.cr_final);
@@ -367,42 +401,21 @@ let run_config ~shards ~checkpoint_every =
 let shard_counts = [ 2; 3 ]
 let checkpoint_intervals = [ 1; 4; 0 ]
 
-(* --- served arm: the async server over sharded storage -------------------- *)
-
-type served = {
-  sh_sessions : int;
-  sh_batches : int;
-  sh_errors : int;
-  sh_crashes : int;
-  sh_recoveries : int;
-  sh_torn_inflight : int;
-  sh_redriven : int;
-  sh_durable_acks : int;
-  sh_torn : int;  (** batches left torn at quiescence — must be 0 *)
-  sh_two_pc : int;
-  sh_one_pc : int;
-  sh_aborts : int;
-  sh_gathers : int;
-  sh_fanout : int;
-  sh_decisions : int;
-  sh_identical : bool;
-      (** delivered results and per-shard fingerprints match a serial replay
-          on a fresh same-shard-count deployment, and the logical state
-          matches an unsharded replay *)
-}
+(* --- served arm: the async server over (replicated) shards ---------------- *)
 
 let served_schedule =
   Served_crash.schedule ~seed:0x5a4d ~keys:30 ~token_prefix:"sh"
 
-(* Serial replay on a fresh deployment with the same shard count: result
-   sets (and row order) must match exactly; a second, unsharded replay pins
-   the logical state across shard counts, and the end-of-run audit checks
+(* Serial replay on a fresh UNREPLICATED deployment with the same shard
+   count: result sets (and row order) must match exactly, so replication
+   and promotions must be invisible; a second, unsharded replay pins the
+   logical state across shard counts, and the end-of-run audit checks
    every shard's WAL against the decision log, exactly as in each matrix
    cell. *)
 let served_oracle ~shards ~checkpoint_every sh =
-  let osh = deployment ~shards ~checkpoint_every () in
+  let osh = deployment ~replicas_per_shard:0 ~shards ~checkpoint_every () in
   let odb = Db.create () in
-  seed_db odb;
+  Served_crash.seed_db ~rows:seed_rows odb;
   {
     Served_crash.replay =
       (fun stmts ->
@@ -415,41 +428,14 @@ let served_oracle ~shards ~checkpoint_every sh =
         && Shard.audit sh = []);
   }
 
-let served_sharded ?(crash = 0.06) ?(shards = 3) ?(checkpoint_every = 2) () =
-  let sh = deployment ~shards ~checkpoint_every () in
-  let r =
-    Served_crash.run ~deployment:sh ~schedule:served_schedule ~fault_seed:300
-      ~oracle:(served_oracle ~shards ~checkpoint_every sh)
-      ~crash ()
-  in
-  let s = Adm.stats r.server in
-  let ss = Shard.stats sh in
-  {
-    sh_sessions = r.sessions;
-    sh_batches = r.batches;
-    sh_errors = r.errors;
-    sh_crashes = s.Adm.crashes;
-    sh_recoveries = s.Adm.recoveries;
-    sh_torn_inflight = s.Adm.torn_inflight;
-    sh_redriven = s.Adm.redriven;
-    sh_durable_acks = s.Adm.durable_acks;
-    sh_torn = r.torn;
-    sh_two_pc = ss.Shard.two_pc_commits;
-    sh_one_pc = ss.Shard.one_pc_commits;
-    sh_aborts = ss.Shard.dtxn_aborts;
-    sh_gathers = ss.Shard.gathered_reads;
-    sh_fanout = ss.Shard.fanout_writes;
-    sh_decisions = ss.Shard.decisions;
-    sh_identical = r.identical;
-  }
+let served ~replicas_per_shard ?(crash = 0.06) ?(shards = 3)
+    ?(checkpoint_every = 2) () =
+  let sh = deployment ~replicas_per_shard ~shards ~checkpoint_every () in
+  Served_crash.run ~deployment:sh ~schedule:served_schedule ~fault_seed:300
+    ~oracle:(served_oracle ~shards ~checkpoint_every sh)
+    ~crash ()
 
 (* --- single-shard equivalence --------------------------------------------- *)
-
-let durable_db () =
-  let db = Db.create () in
-  Db.enable_durability ~checkpoint_every:4 ~wal:(Wal.mem ())
-    ~checkpoint:(Wal.mem ()) db;
-  db
 
 (* [Shard.of_database] over a caller-supplied engine must behave exactly
    like driving that engine directly: the seeded batch stream (tokened
@@ -458,9 +444,12 @@ let durable_db () =
    same record counts — or, without durability, wipes both alike. *)
 let wrapper_identical ~durable =
   let engine () =
-    let db = if durable then durable_db () else Db.create () in
-    seed_db db;
-    db
+    if durable then
+      Served_crash.durable_db ~rows:seed_rows ~checkpoint_every:4 ()
+    else
+      let db = Db.create () in
+      Served_crash.seed_db ~rows:seed_rows db;
+      db
   in
   let wrapped = engine () and direct = engine () in
   let sh = Shard.of_database wrapped in
@@ -478,7 +467,7 @@ let wrapper_identical ~durable =
     | Error m, Error m' -> m = m'
     | _ -> false
   in
-  let read_back = [ parse "SELECT * FROM kv ORDER BY id" ] in
+  let read_back = [ Served_crash.parse "SELECT * FROM kv ORDER BY id" ] in
   let outcomes_ok =
     List.for_all Fun.id
       (List.mapi
@@ -533,10 +522,10 @@ let wrapper_identical ~durable =
    holds for a one-shard router over a caller-supplied engine, durable or
    not. *)
 let single_shard_identical () =
-  let sh = Shard.create ~checkpoint_every:4 ~shards:1 () in
-  seed_shard sh;
-  let db = durable_db () in
-  seed_db db;
+  let sh =
+    deployment ~replicas_per_shard:0 ~shards:1 ~checkpoint_every:4 ()
+  in
+  let db = Served_crash.durable_db ~rows:seed_rows ~checkpoint_every:4 () in
   List.iteri
     (fun i stmts ->
       Shard.atomically ~token:(token_of i) sh (fun () ->
@@ -552,150 +541,270 @@ let single_shard_identical () =
 
 (* --- JSON + report --------------------------------------------------------- *)
 
-let json_of cfgs served single_ok =
-  let b = Buffer.create 2048 in
-  Buffer.add_string b "{\n  \"experiment\": \"sharding\",\n  \"configs\": [\n";
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"shards\": %d, \"checkpoint_every\": %d, \"cases\": %d, \
-            \"acked\": %d, \"applied\": %d, \"aborted\": %d, \
-            \"in_doubt_committed\": %d, \"in_doubt_aborted\": %d, \
-            \"atomicity_violations\": %d, \"lost_writes\": %d, \
-            \"audit_violations\": %d, \"misfires\": %d, \"resume_exact_once\": \
-            %d, \"final_ok\": %d, \"replay_identical\": %d}"
-           c.cfg_shards c.cfg_checkpoint_every c.cfg_cases c.cfg_acked
-           c.cfg_applied c.cfg_aborted c.cfg_in_doubt_committed
-           c.cfg_in_doubt_aborted c.cfg_atomicity_violations c.cfg_lost_writes
-           c.cfg_audit_violations c.cfg_misfires c.cfg_resume_ok c.cfg_final_ok
-           c.cfg_replay_ok))
-    cfgs;
-  let total f = List.fold_left (fun acc c -> acc + f c) 0 cfgs in
+(* The keys a JSON object carries only when [cond] holds. *)
+let only cond (fields : (string * Report.json) list) =
+  if cond then fields else []
+
+let config_json c =
+  let replicated = c.cfg_replicas_per_shard > 0 in
+  Report.(
+    Obj
+      ([ ("shards", Int c.cfg_shards) ]
+      @ only replicated
+          [ ("replicas_per_shard", Int c.cfg_replicas_per_shard) ]
+      @ [
+          ("checkpoint_every", Int c.cfg_checkpoint_every);
+          ("cases", Int c.cfg_cases);
+          ("acked", Int c.cfg_acked);
+          ("applied", Int c.cfg_applied);
+          ("aborted", Int c.cfg_aborted);
+        ]
+      @ only (not replicated)
+          [
+            ("in_doubt_committed", Int c.cfg_in_doubt_committed);
+            ("in_doubt_aborted", Int c.cfg_in_doubt_aborted);
+          ]
+      @ only replicated [ ("promotions", Int c.cfg_promotions) ]
+      @ [
+          ("atomicity_violations", Int c.cfg_atomicity_violations);
+          ("lost_writes", Int c.cfg_lost_writes);
+          ("audit_violations", Int c.cfg_audit_violations);
+        ]
+      @ only replicated
+          [
+            ( "prepared_survival_violations",
+              Int c.cfg_prepared_survival_violations );
+          ]
+      @ [
+          ("misfires", Int c.cfg_misfires);
+          ("resume_exact_once", Int c.cfg_resume_ok);
+          ("final_ok", Int c.cfg_final_ok);
+          ("replay_identical", Int c.cfg_replay_ok);
+        ]))
+
+let ck_label ck = if ck = 0 then "never" else Printf.sprintf "every %d" ck
+
+let print_config c =
+  let replicated = c.cfg_replicas_per_shard > 0 in
+  let promotions_col xs = if replicated then xs else [] in
+  Report.subsection
+    (Printf.sprintf "%d shards%s, checkpoint %s" c.cfg_shards
+       (if replicated then
+          Printf.sprintf " x %d replicas" c.cfg_replicas_per_shard
+        else "")
+       (ck_label c.cfg_checkpoint_every));
+  Report.table
+    ~header:
+      ([ "crash point"; "cases"; "acked"; "applied" ]
+      @ promotions_col [ "promotions" ])
+    (List.map
+       (fun (label, cases, acked, applied, promotions) ->
+         [
+           label;
+           string_of_int cases;
+           string_of_int acked;
+           string_of_int applied;
+         ]
+         @ promotions_col [ string_of_int promotions ])
+       c.cfg_by_role);
+  if replicated then
+    Printf.printf
+      "  promotions %d; atomicity violations %d, lost acked writes %d, \
+       audit violations %d,\n\
+      \  prepared-survival violations %d, exact-once resume %d/%d, \
+       replay identical %d/%d\n"
+      c.cfg_promotions c.cfg_atomicity_violations c.cfg_lost_writes
+      c.cfg_audit_violations c.cfg_prepared_survival_violations
+      c.cfg_resume_ok c.cfg_cases c.cfg_replay_ok c.cfg_cases
+  else
+    Printf.printf
+      "  in-doubt: %d committed / %d aborted by recovery; atomicity \
+       violations %d, lost\n\
+      \  acked writes %d, audit violations %d, exact-once resume %d/%d, \
+       replay identical %d/%d\n"
+      c.cfg_in_doubt_committed c.cfg_in_doubt_aborted
+      c.cfg_atomicity_violations c.cfg_lost_writes c.cfg_audit_violations
+      c.cfg_resume_ok c.cfg_cases c.cfg_replay_ok c.cfg_cases
+
+let sharding ~replicas_per_shard ?json () =
+  let replicated = replicas_per_shard > 0 in
+  let grid = String.concat "/" (List.map string_of_int shard_counts) in
+  if replicated then begin
+    Report.section
+      "Replicated shards: per-shard groups surviving failover mid-2PC";
+    Printf.printf
+      "  (every shard a %d-follower replication group; the sharding crash \
+       matrix re-run with\n\
+      \   promotion-on-crash — every 2PC step x which node dies \
+       (coordinator, shard primary\n\
+      \   pre/post-PREPARE-force and pre/post-decision, follower) x %s shard \
+       counts x %d\n\
+      \   checkpoint intervals; prepared transactions must survive promotion \
+       and resolve per\n\
+      \   the decision log)\n"
+      replicas_per_shard grid
+      (List.length checkpoint_intervals)
+  end
+  else begin
+    Report.section "Sharding: crash-safe two-phase commit across partitions";
+    Printf.printf
+      "  (%d write batches two-phase-committed across hash partitions; a \
+       scripted crash swept\n\
+      \   over every 2PC protocol step x every batch x %s shard counts x %d \
+       checkpoint\n\
+      \   intervals; each surviving state must be exactly pre- or \
+       post-batch, tokens re-driven\n\
+      \   to exactly-once completion, per-shard WALs audited against the \
+       decision log)\n"
+      n_batches grid
+      (List.length checkpoint_intervals)
+  end;
+  let cfgs =
+    List.concat_map
+      (fun shards ->
+        List.map
+          (fun ck ->
+            let c =
+              run_config ~replicas_per_shard ~shards ~checkpoint_every:ck
+            in
+            print_config c;
+            c)
+          checkpoint_intervals)
+      shard_counts
+  in
+  let sv = served ~replicas_per_shard () in
+  let s = Adm.stats sv.server in
+  let ss = Shard.stats sv.deployment in
+  let served_audit = List.length (Shard.audit sv.deployment) in
+  if replicated then begin
+    Report.subsection
+      "served: async multi-session server over replicated shards";
+    Printf.printf
+      "  (%d sessions x %d batches over 3 shards x %d replicas, seeded \
+       random server crashes;\n\
+      \   whole-process recovery promotes every shard's most caught-up \
+       follower; per-session\n\
+      \   per-shard RYW floors re-checked on every read; reads may be \
+       served by caught-up\n\
+      \   followers under a consistent cut)\n"
+      sv.sessions Served_crash.batches_per_session replicas_per_shard;
+    Printf.printf
+      "  crashes %d (recoveries %d), shard failovers %d, torn in-flight %d, \
+       re-driven %d,\n\
+      \  durable acks %d, errors %d, replica-served read batches %d, RYW \
+       violations %d,\n\
+      \  lost acked writes %d, audit violations %d, torn at quiescence %d, \
+       results identical: %b\n"
+      s.crashes s.recoveries s.failovers s.torn_inflight s.redriven
+      s.durable_acks sv.errors s.replica_read_batches s.ryw_violations
+      sv.lost_acked served_audit sv.torn sv.identical
+  end
+  else begin
+    Report.subsection "served: async multi-session server over shards";
+    Printf.printf
+      "  (%d sessions x %d batches on the admission layer over %d shards, \
+       seeded random server\n\
+      \   crashes; whole-process recovery = decision log first, then every \
+       shard's in-doubt\n\
+      \   resolution; results checked against same-count and unsharded \
+       serial replays)\n"
+      sv.sessions Served_crash.batches_per_session 3;
+    Printf.printf
+      "  crashes %d (recoveries %d), torn in-flight %d, re-driven %d, \
+       durable acks %d, errors %d\n\
+      \  2pc commits %d, 1pc commits %d, aborts %d, gathered reads %d, \
+       fanout writes %d,\n\
+      \  decisions %d, torn at quiescence %d, results identical: %b\n"
+      s.crashes s.recoveries s.torn_inflight s.redriven s.durable_acks
+      sv.errors ss.two_pc_commits ss.one_pc_commits ss.dtxn_aborts
+      ss.gathered_reads ss.fanout_writes ss.decisions sv.torn sv.identical
+  end;
+  let single_ok = replicated || single_shard_identical () in
+  let total f = sum f cfgs in
   let cases = total (fun c -> c.cfg_cases) in
+  let promotions = total (fun c -> c.cfg_promotions) in
   let atomicity = total (fun c -> c.cfg_atomicity_violations) in
   let lost = total (fun c -> c.cfg_lost_writes) in
-  let torn =
-    total (fun c -> c.cfg_audit_violations) + total (fun c -> c.cfg_misfires)
-  in
-  let replay_ok = List.for_all (fun c -> c.cfg_replay_ok = c.cfg_cases) cfgs in
-  let resume_ok =
+  let survival = total (fun c -> c.cfg_prepared_survival_violations) in
+  let audit = total (fun c -> c.cfg_audit_violations) in
+  let torn = audit + total (fun c -> c.cfg_misfires) in
+  if replicated then
+    Printf.printf
+      "\n\
+      \  crash matrix: %d cases, %d promotions, atomicity violations %d, \
+       lost acked writes %d,\n\
+      \  prepared-survival violations %d\n"
+      cases promotions atomicity lost survival
+  else
+    Printf.printf
+      "\n\
+      \  crash matrix: %d cases, atomicity violations %d, lost acked writes \
+       %d,\n\
+      \  single-shard deployment byte-identical to unsharded: %b\n"
+      cases atomicity lost single_ok;
+  let all_ok =
     List.for_all
-      (fun c -> c.cfg_resume_ok = c.cfg_cases && c.cfg_final_ok = c.cfg_cases)
+      (fun c ->
+        c.cfg_replay_ok = c.cfg_cases
+        && c.cfg_resume_ok = c.cfg_cases
+        && c.cfg_final_ok = c.cfg_cases)
       cfgs
+    && sv.identical && single_ok && atomicity = 0 && lost = 0 && survival = 0
+    && torn = 0 && s.ryw_violations = 0 && sv.lost_acked = 0 && sv.torn = 0
   in
-  Buffer.add_string b
-    (Printf.sprintf
-       "\n\
-       \  ],\n\
-       \  \"cases_total\": %d,\n\
-       \  \"atomicity_violations\": %d,\n\
-       \  \"lost_writes\": %d,\n\
-       \  \"torn_batches\": %d,\n"
-       cases atomicity lost torn);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"served\": {\"sessions\": %d, \"batches\": %d, \"errors\": %d, \
-        \"crashes\": %d, \"recoveries\": %d, \"torn_inflight\": %d, \
-        \"redriven\": %d, \"durable_acks\": %d, \"torn\": %d, \
-        \"two_pc_commits\": %d, \"one_pc_commits\": %d, \"dtxn_aborts\": %d, \
-        \"gathered_reads\": %d, \"fanout_writes\": %d, \"decisions\": %d, \
-        \"results_identical\": %b},\n"
-       served.sh_sessions served.sh_batches served.sh_errors served.sh_crashes
-       served.sh_recoveries served.sh_torn_inflight served.sh_redriven
-       served.sh_durable_acks served.sh_torn served.sh_two_pc served.sh_one_pc
-       served.sh_aborts served.sh_gathers served.sh_fanout served.sh_decisions
-       served.sh_identical);
-  Buffer.add_string b
-    (Printf.sprintf "  \"single_shard_identical\": %b,\n" single_ok);
-  Buffer.add_string b
-    (Printf.sprintf "  \"results_identical\": %b\n}\n"
-       (replay_ok && resume_ok && served.sh_identical && single_ok
-      && atomicity = 0 && lost = 0 && torn = 0));
-  Buffer.contents b
-
-let sharding ?json () =
-  Report.section "Sharding: crash-safe two-phase commit across partitions";
-  Printf.printf
-    "  (%d write batches two-phase-committed across hash partitions; a \
-     scripted crash swept\n\
-    \   over every 2PC protocol step x every batch x %s shard counts x %d \
-     checkpoint\n\
-    \   intervals; each surviving state must be exactly pre- or post-batch, \
-     tokens re-driven\n\
-    \   to exactly-once completion, per-shard WALs audited against the \
-     decision log)\n"
-    n_batches
-    (String.concat "/" (List.map string_of_int shard_counts))
-    (List.length checkpoint_intervals);
-  let cfgs = ref [] in
-  List.iter
-    (fun shards ->
-      List.iter
-        (fun ck ->
-          let c = run_config ~shards ~checkpoint_every:ck in
-          cfgs := !cfgs @ [ c ];
-          Report.subsection
-            (Printf.sprintf "%d shards, checkpoint %s" shards
-               (if ck = 0 then "never" else Printf.sprintf "every %d" ck));
-          Report.table
-            ~header:[ "crash point"; "cases"; "acked"; "applied" ]
-            (List.map
-               (fun (label, cases, acked, applied) ->
-                 [
-                   label;
-                   string_of_int cases;
-                   string_of_int acked;
-                   string_of_int applied;
-                 ])
-               c.cfg_by_role);
-          Printf.printf
-            "  in-doubt: %d committed / %d aborted by recovery; atomicity \
-             violations %d, lost\n\
-            \  acked writes %d, audit violations %d, exact-once resume %d/%d, \
-             replay identical %d/%d\n"
-            c.cfg_in_doubt_committed c.cfg_in_doubt_aborted
-            c.cfg_atomicity_violations c.cfg_lost_writes c.cfg_audit_violations
-            c.cfg_resume_ok c.cfg_cases c.cfg_replay_ok c.cfg_cases)
-        checkpoint_intervals)
-    shard_counts;
-  let cfgs = !cfgs in
-  Report.subsection "served: async multi-session server over shards";
-  let sv = served_sharded () in
-  Printf.printf
-    "  (%d sessions x %d batches on the admission layer over %d shards, \
-     seeded random server\n\
-    \   crashes; whole-process recovery = decision log first, then every \
-     shard's in-doubt\n\
-    \   resolution; results checked against same-count and unsharded serial \
-     replays)\n"
-    sv.sh_sessions Served_crash.batches_per_session 3;
-  Printf.printf
-    "  crashes %d (recoveries %d), torn in-flight %d, re-driven %d, durable \
-     acks %d, errors %d\n\
-    \  2pc commits %d, 1pc commits %d, aborts %d, gathered reads %d, fanout \
-     writes %d,\n\
-    \  decisions %d, torn at quiescence %d, results identical: %b\n"
-    sv.sh_crashes sv.sh_recoveries sv.sh_torn_inflight sv.sh_redriven
-    sv.sh_durable_acks sv.sh_errors sv.sh_two_pc sv.sh_one_pc sv.sh_aborts
-    sv.sh_gathers sv.sh_fanout sv.sh_decisions sv.sh_torn sv.sh_identical;
-  let single_ok = single_shard_identical () in
-  let cases = List.fold_left (fun acc c -> acc + c.cfg_cases) 0 cfgs in
-  let atomicity =
-    List.fold_left (fun acc c -> acc + c.cfg_atomicity_violations) 0 cfgs
-  in
-  let lost = List.fold_left (fun acc c -> acc + c.cfg_lost_writes) 0 cfgs in
-  Printf.printf
-    "\n\
-    \  crash matrix: %d cases, atomicity violations %d, lost acked writes \
-     %d,\n\
-    \  single-shard deployment byte-identical to unsharded: %b\n"
-    cases atomicity lost single_ok;
-  Option.iter
-    (fun path ->
-      let oc = open_out path in
-      output_string oc (json_of cfgs sv single_ok);
-      close_out oc;
-      Printf.printf "  wrote %s\n" path)
-    json
+  Report.write_json json
+    Report.(
+      [
+        ( "experiment",
+          String (if replicated then "repl_sharding" else "sharding") );
+        ("configs", List (List.map config_json cfgs));
+        ("cases_total", Int cases);
+      ]
+      @ only replicated [ ("promotions_total", Int promotions) ]
+      @ [ ("atomicity_violations", Int atomicity); ("lost_writes", Int lost) ]
+      @ only replicated
+          [
+            ("prepared_survival_violations", Int survival);
+            ("audit_violations", Int audit);
+          ]
+      @ [
+          ("torn_batches", Int torn);
+          ( "served",
+            Obj
+              ([
+                ("sessions", Int sv.sessions);
+                ("batches", Int sv.batches);
+                ("errors", Int sv.errors);
+                ("crashes", Int s.crashes);
+                ("recoveries", Int s.recoveries);
+                ("torn_inflight", Int s.torn_inflight);
+                ("redriven", Int s.redriven);
+                ("durable_acks", Int s.durable_acks);
+                ("torn", Int sv.torn);
+              ]
+              @ only replicated
+                  [
+                    ("failovers", Int s.failovers);
+                    ("replica_read_batches", Int s.replica_read_batches);
+                    ("ryw_violations", Int s.ryw_violations);
+                    ("lost_acked_writes", Int sv.lost_acked);
+                    ("audit_violations", Int served_audit);
+                  ]
+              @ only (not replicated)
+                  [
+                    ("two_pc_commits", Int ss.two_pc_commits);
+                    ("one_pc_commits", Int ss.one_pc_commits);
+                    ("dtxn_aborts", Int ss.dtxn_aborts);
+                    ("gathered_reads", Int ss.gathered_reads);
+                    ("fanout_writes", Int ss.fanout_writes);
+                    ("decisions", Int ss.decisions);
+                  ]
+              @ [ ("results_identical", Bool sv.identical) ]) );
+        ]
+      @ only (not replicated) [ ("single_shard_identical", Bool single_ok) ]
+      @ only replicated
+          [
+            ("ryw_violations", Int s.ryw_violations);
+            ("shard_primary_failovers", Int (promotions + s.failovers));
+          ]
+      @ [ ("results_identical", Bool all_ok) ])

@@ -304,36 +304,22 @@ let served_row (shr, unshr) =
   ]
 
 let served_json ~pairs ~analytic ~identical =
-  let b = Buffer.create 2048 in
-  Buffer.add_string b "{\n  \"experiment\": \"throughput\",\n  \"served\": [\n";
   let cell r =
-    Printf.sprintf
-      "    {\"clients\": %d, \"mode\": \"%s\", \"batches\": %d, \
-       \"errors\": %d, \"rows_scanned\": %d, \"zero_scan_reads\": %d, \
-       \"flushes\": %d, \"max_flush\": %d, \"mean_latency_ms\": %.4f, \
-       \"p95_latency_ms\": %.4f, \"batches_per_s\": %.2f}"
-      r.sv_clients
-      (if r.sv_shared then "shared" else "unshared")
-      r.sv_batches r.sv_errors r.sv_rows_scanned r.sv_zero_scan r.sv_flushes
-      r.sv_max_flush r.sv_mean_ms r.sv_p95_ms r.sv_batches_per_s
+    Report.Obj
+      [
+        ("clients", Int r.sv_clients);
+        ("mode", String (if r.sv_shared then "shared" else "unshared"));
+        ("batches", Int r.sv_batches);
+        ("errors", Int r.sv_errors);
+        ("rows_scanned", Int r.sv_rows_scanned);
+        ("zero_scan_reads", Int r.sv_zero_scan);
+        ("flushes", Int r.sv_flushes);
+        ("max_flush", Int r.sv_max_flush);
+        ("mean_latency_ms", Float (4, r.sv_mean_ms));
+        ("p95_latency_ms", Float (4, r.sv_p95_ms));
+        ("batches_per_s", Float (2, r.sv_batches_per_s));
+      ]
   in
-  List.iteri
-    (fun i (shr, unshr) ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b (cell unshr);
-      Buffer.add_string b ",\n";
-      Buffer.add_string b (cell shr))
-    pairs;
-  Buffer.add_string b "\n  ],\n  \"analytic\": [\n";
-  List.iteri
-    (fun i (clients, o, s) ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"clients\": %d, \"original_pages_s\": %.1f, \
-            \"sloth_pages_s\": %.1f}"
-           clients o s))
-    analytic;
   let saved_at_8 =
     List.fold_left
       (fun acc (shr, unshr) ->
@@ -342,12 +328,26 @@ let served_json ~pairs ~analytic ~identical =
         else acc)
       0 pairs
   in
-  Buffer.add_string b
-    (Printf.sprintf
-       "\n  ],\n  \"rows_scanned_saved_at_8_plus\": %d,\n  \
-        \"results_identical\": %b\n}\n"
-       saved_at_8 identical);
-  Buffer.contents b
+  [
+    ("experiment", Report.String "throughput");
+    ( "served",
+      List
+        (List.concat_map (fun (shr, unshr) -> [ cell unshr; cell shr ]) pairs)
+    );
+    ( "analytic",
+      List
+        (List.map
+           (fun (clients, o, s) ->
+             Report.Obj
+               [
+                 ("clients", Int clients);
+                 ("original_pages_s", Float (1, o));
+                 ("sloth_pages_s", Float (1, s));
+               ])
+           analytic) );
+    ("rows_scanned_saved_at_8_plus", Int saved_at_8);
+    ("results_identical", Bool identical);
+  ]
 
 let served ?json () =
   Report.section
@@ -414,10 +414,4 @@ let served ?json () =
        (fun (c, o, s) ->
          [ string_of_int c; Printf.sprintf "%.1f" o; Printf.sprintf "%.1f" s ])
        analytic);
-  Option.iter
-    (fun path ->
-      let oc = open_out path in
-      output_string oc (served_json ~pairs ~analytic ~identical);
-      close_out oc;
-      Printf.printf "  wrote %s\n" path)
-    json
+  Report.write_json json (served_json ~pairs ~analytic ~identical)

@@ -1,10 +1,12 @@
 (* Tests for the experiment harness: statistics helpers, the runner's
-   bookkeeping, and the throughput simulation's qualitative behaviour. *)
+   bookkeeping, the throughput simulation's qualitative behaviour, and the
+   layout of the BENCH JSON emitter. *)
 
 module Cdf = Sloth_harness.Cdf
 module Runner = Sloth_harness.Runner
 module Throughput = Sloth_harness.Throughput
 module Page = Sloth_web.Page
+module Report = Sloth_harness.Report
 
 let feq = Alcotest.(check (float 1e-9))
 
@@ -89,6 +91,49 @@ let test_fewer_trips_higher_peak () =
   Alcotest.(check bool) "batching build peaks higher" true
     (peak fast > peak slow)
 
+(* The committed BENCH files are compared byte for byte, so the emitter's
+   layout is pinned exactly: top-level keys one per line, a top-level list
+   one element per line, everything nested inline. *)
+let test_json_layout () =
+  let got =
+    Report.(
+      json_to_string
+        [
+          ("experiment", String "layout");
+          ("n", Int (-3));
+          ("f1", Float (1, 2.26));
+          ("f2", Float (2, 3.14159));
+          ("f4", Float (4, 1.0 /. 3.0));
+          ("f6", Float (6, 12.0));
+          ("ok", Bool false);
+          ( "cells",
+            List
+              [
+                Obj [ ("a", Int 1); ("ok", Bool true) ];
+                Obj [ ("s", String "x\"y"); ("xs", List [ Int 1; Int 2 ]) ];
+              ] );
+          ( "served",
+            Obj [ ("inner", Obj [ ("r", Float (2, 1.5)) ]); ("k", Int 0) ] );
+        ])
+  in
+  Alcotest.(check string)
+    "layout"
+    "{\n\
+    \  \"experiment\": \"layout\",\n\
+    \  \"n\": -3,\n\
+    \  \"f1\": 2.3,\n\
+    \  \"f2\": 3.14,\n\
+    \  \"f4\": 0.3333,\n\
+    \  \"f6\": 12.000000,\n\
+    \  \"ok\": false,\n\
+    \  \"cells\": [\n\
+    \    {\"a\": 1, \"ok\": true},\n\
+    \    {\"s\": \"x\\\"y\", \"xs\": [1, 2]}\n\
+    \  ],\n\
+    \  \"served\": {\"inner\": {\"r\": 1.50}, \"k\": 0}\n\
+     }\n"
+    got
+
 let () =
   Alcotest.run "harness"
     [
@@ -109,4 +154,5 @@ let () =
           Alcotest.test_case "fewer trips, higher peak" `Quick
             test_fewer_trips_higher_peak;
         ] );
+      ("report", [ Alcotest.test_case "json layout" `Quick test_json_layout ]);
     ]
