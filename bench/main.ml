@@ -1,6 +1,7 @@
 (* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation section, plus wall-clock microbenchmarks of the thunk
-   machinery (Bechamel).
+   paper's evaluation section, plus wall-clock microbenchmarks (Bechamel)
+   of the thunk machinery, parsing, execution, the query store and the
+   WAL/checkpoint layer.
 
    Usage: main.exe [experiment ...] [--faults RATE] [--crash RATE]
           [--checkpoint-every N]
@@ -85,8 +86,54 @@ let micro_tests () =
              (fun id -> ignore (Sloth_core.Query_store.result store id))
              ids))
   in
+  (* WAL and checkpoint layer: a durable TPC-C engine takes a checkpoint
+     after every 8 single-row update commits spread over three tables, as
+     the default [checkpoint_every] does; and a bare Adler-32 pass. *)
+  let tpcc = Sloth_storage.Database.create () in
+  Sloth_workload.Tpcc.populate tpcc;
+  Sloth_storage.Database.enable_durability ~checkpoint_every:0
+    ~wal:(Sloth_storage.Wal.mem ()) ~checkpoint:(Sloth_storage.Wal.mem ())
+    tpcc;
+  Sloth_storage.Database.checkpoint_now tpcc;
+  let dirty = ref 0 in
+  let updates =
+    Array.init 24 (fun i ->
+        let table, rows =
+          match i mod 3 with
+          | 0 -> ("tpcc_customer", 1200)
+          | 1 -> ("tpcc_stock", 800)
+          | _ -> ("tpcc_district", 40)
+        in
+        Sloth_sql.Parser.parse
+          (Printf.sprintf "UPDATE %s SET id = id WHERE id = %d" table
+             ((i * 97 mod rows) + 1)))
+  in
+  let checkpoint =
+    Test.make ~name:"checkpoint (TPC-C, 8 commits dirty)"
+      (Staged.stage (fun () ->
+           for _ = 1 to 8 do
+             ignore (Sloth_storage.Database.exec tpcc updates.(!dirty));
+             dirty := (!dirty + 1) mod Array.length updates
+           done;
+           Sloth_storage.Database.checkpoint_now tpcc))
+  in
+  let wal_bytes =
+    String.init (256 * 1024) (fun i -> Char.chr (i * 31 land 0xff))
+  in
+  let checksum =
+    Test.make ~name:"wal checksum (256 KB)"
+      (Staged.stage (fun () -> Sloth_storage.Wal.checksum wal_bytes))
+  in
   Test.make_grouped ~name:"sloth"
-    [ thunk_create_force; thunk_chain; sql_parse; point_query; store_batch ]
+    [
+      thunk_create_force;
+      thunk_chain;
+      sql_parse;
+      point_query;
+      store_batch;
+      checkpoint;
+      checksum;
+    ]
 
 let micro () =
   Report.section "Microbenchmarks (real wall-clock, Bechamel)";

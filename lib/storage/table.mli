@@ -2,7 +2,14 @@
     secondary (non-unique) hash indexes.
 
     Rows are identified by an internal row id ([rid]); scans visit rows in
-    rid order so results are deterministic. *)
+    rid order so results are deterministic.
+
+    A row array, once stored, is never mutated in place, by this module or
+    by any caller: an update stores a new array.  Every write ({!insert},
+    {!update}, {!delete}, {!restore}, {!apply_redo}) replaces the slot's
+    value instead of editing it, so a slot whose value is physically
+    ([==]) the one it held earlier still holds the same row.  Incremental
+    checkpoints rely on this to skip re-encoding unchanged heap pages. *)
 
 type t
 type rid = int
@@ -37,6 +44,7 @@ val update : t -> rid -> Value.t array -> Value.t array
     {!Constraint_violation} or [Invalid_argument]. *)
 
 val get : t -> rid -> Value.t array option
+(** The slot's current value.  The returned row must not be mutated. *)
 
 val shrink_tail : t -> rid -> unit
 (** If every slot at index >= [rid] is empty, truncate the heap to [rid]

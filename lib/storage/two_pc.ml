@@ -56,4 +56,4 @@ let n_decisions t = Hashtbl.length t.decisions
 let decisions t =
   Hashtbl.fold (fun gtid ps acc -> (gtid, ps) :: acc) t.decisions []
   |> List.sort compare
-let log_size t = String.length (Wal.contents t.log)
+let log_size t = Wal.length t.log

@@ -42,16 +42,76 @@ let write_all store s =
       Out_channel.with_open_bin tmp (fun oc -> Out_channel.output_string oc s);
       Sys.rename tmp path
 
-let is_empty store = String.length (contents store) = 0
+let length = function
+  | Mem b -> Buffer.length b
+  | File path ->
+      if Sys.file_exists path then
+        In_channel.with_open_bin path (fun ic ->
+            Int64.to_int (In_channel.length ic))
+      else 0
+
+let is_empty store = length store = 0
+
+(* Adler-32 with deferred reduction: 5552 is the longest run of bytes
+   whose unreduced sums stay below 2^32 (zlib's NMAX), so the two [mod]s
+   are paid once per block instead of once per byte.  The result is the
+   plain bytewise Adler-32. *)
+let adler_base = 65521
+let adler_nmax = 5552
 
 let checksum s =
-  let a = ref 1 and b = ref 0 in
-  String.iter
-    (fun c ->
-      a := (!a + Char.code c) mod 65521;
-      b := (!b + !a) mod 65521)
-    s;
+  let len = String.length s in
+  let a = ref 1 and b = ref 0 and i = ref 0 in
+  while !i < len do
+    let stop = min len (!i + adler_nmax) in
+    for j = !i to stop - 1 do
+      a := !a + Char.code (String.unsafe_get s j);
+      b := !b + !a
+    done;
+    a := !a mod adler_base;
+    b := !b mod adler_base;
+    i := stop
+  done;
   (!b lsl 16) lor !a
+
+(* zlib's adler32_combine: the checksum of [x ^ y] from [checksum x],
+   [checksum y] and [String.length y]. *)
+let checksum_combine sum1 sum2 len2 =
+  let rem = len2 mod adler_base in
+  let a1 = sum1 land 0xffff and b1 = (sum1 lsr 16) land 0xffff in
+  let a2 = sum2 land 0xffff and b2 = (sum2 lsr 16) land 0xffff in
+  let a = (a1 + a2 + adler_base - 1) mod adler_base in
+  let b = ((rem * a1) + b1 + b2 + adler_base - rem) mod adler_base in
+  (b lsl 16) lor a
+
+(* A frame is an 8-byte header (payload length, then checksum) followed by
+   the payload.  The payload arrives as pieces, each with its checksum, so
+   a frame can be emitted without ever building its payload as one string
+   or scanning it again. *)
+let emit_frame add pieces =
+  let len, sum =
+    List.fold_left
+      (fun (len, sum) (s, s_sum) ->
+        let n = String.length s in
+        (len + n, checksum_combine sum s_sum n))
+      (0, 1) pieces
+  in
+  let h = Bytes.create 8 in
+  Bytes.set_int32_be h 0 (Int32.of_int len);
+  Bytes.set_int32_be h 4 (Int32.of_int sum);
+  add (Bytes.unsafe_to_string h);
+  List.iter (fun (s, _) -> add s) pieces
+
+let write_frame store pieces =
+  match store with
+  | Mem b ->
+      Buffer.clear b;
+      emit_frame (Buffer.add_string b) pieces
+  | File path ->
+      let tmp = path ^ ".tmp" in
+      Out_channel.with_open_bin tmp (fun oc ->
+          emit_frame (Out_channel.output_string oc) pieces);
+      Sys.rename tmp path
 
 module Codec = struct
   exception Corrupt
@@ -179,12 +239,15 @@ module Codec = struct
     | s -> s
     | exception Invalid_argument _ -> raise Corrupt
 
-  let frame payload =
-    let b = Buffer.create (String.length payload + 8) in
-    Buffer.add_int32_be b (Int32.of_int (String.length payload));
-    Buffer.add_int32_be b (Int32.of_int (checksum payload));
-    Buffer.add_string b payload;
+  let frame_pieces pieces =
+    let b =
+      Buffer.create
+        (List.fold_left (fun n (s, _) -> n + String.length s) 8 pieces)
+    in
+    emit_frame (Buffer.add_string b) pieces;
     Buffer.contents b
+
+  let frame payload = frame_pieces [ (payload, checksum payload) ]
 
   let unframe bytes pos =
     let total = String.length bytes in

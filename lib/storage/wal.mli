@@ -26,7 +26,18 @@ val contents : store -> string
 val append : store -> string -> unit
 
 val write_all : store -> string -> unit
-(** Replace the whole contents (checkpoint install, torn-tail truncation). *)
+(** Replace the whole contents (snapshot install, log truncation). *)
+
+val write_frame : store -> (string * int) list -> unit
+(** [write_frame store pieces] replaces the whole contents with one frame
+    whose payload is the concatenation of [pieces], each given with its
+    {!checksum}.  The frame checksum is combined from the pieces'
+    ({!checksum_combine}) and the pieces are written one by one, so the
+    payload is never assembled or re-scanned (checkpoint install).  The
+    bytes equal [write_all store (Codec.frame_pieces pieces)]. *)
+
+val length : store -> int
+(** Byte length of the contents; O(1) for [mem]. *)
 
 val is_empty : store -> bool
 
@@ -69,7 +80,12 @@ val scan : string -> record list * int
     prefix.  Never raises: a torn or corrupt tail just ends the scan. *)
 
 val checksum : string -> int
-(** Adler-32 (exposed for tests). *)
+(** Adler-32.  Also the shard router's hash ({!Shard.home}), so its values
+    must never change. *)
+
+val checksum_combine : int -> int -> int -> int
+(** [checksum_combine (checksum a) (checksum b) (String.length b)] is
+    [checksum (a ^ b)] (zlib's [adler32_combine]). *)
 
 (** {2 Codec}
 
@@ -95,8 +111,9 @@ module Codec : sig
   val get_schema : reader -> Schema.t
   (** All getters raise {!Corrupt} on malformed input. *)
 
-  val frame : string -> string
-  (** Wrap a payload as [length | checksum | payload]. *)
+  val frame_pieces : (string * int) list -> string
+  (** Wrap the pieces' concatenation as [length | checksum | payload], each
+      piece given with its {!checksum}: the bytes {!write_frame} writes. *)
 
   val unframe : string -> int -> (string * int) option
   (** [unframe bytes pos] reads one frame at [pos]; [Some (payload, next)]

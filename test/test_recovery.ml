@@ -438,6 +438,162 @@ let fuzz_two_stream_isolation =
       check_intact survivor s_expect "surviving";
       true)
 
+(* --- checksum -------------------------------------------------------------- *)
+
+(* Bytewise Adler-32, reduced after every byte: the reference the fast
+   deferred-reduction checksum must agree with exactly (the shard router
+   hashes keys with it). *)
+let reference_adler32 s =
+  let a = ref 1 and b = ref 0 in
+  String.iter
+    (fun c ->
+      a := (!a + Char.code c) mod 65521;
+      b := (!b + !a) mod 65521)
+    s;
+  (!b lsl 16) lor !a
+
+let test_checksum_reference () =
+  Alcotest.(check int) "known vector" 0x11E60398 (Wal.checksum "Wikipedia");
+  List.iter
+    (fun len ->
+      List.iter
+        (fun s ->
+          Alcotest.(check int)
+            (Printf.sprintf "length %d" len)
+            (reference_adler32 s) (Wal.checksum s))
+        [
+          String.make len '\255';
+          String.init len (fun i ->
+              Char.chr (((i * 131) + (i lsr 7)) land 0xff));
+        ])
+    [ 0; 1; 5551; 5552; 5553; 1 lsl 20 ]
+
+let fuzz_checksum_combine =
+  QCheck.Test.make ~count:200 ~name:"checksum combine"
+    QCheck.(
+      pair
+        (string_of_size Gen.(0 -- 12000))
+        (string_of_size Gen.(0 -- 12000)))
+    (fun (a, b) ->
+      Wal.checksum_combine (Wal.checksum a) (Wal.checksum b) (String.length b)
+      = Wal.checksum (a ^ b))
+
+(* --- incremental checkpoints ----------------------------------------------- *)
+
+(* Property: a checkpoint re-encodes only the heap pages whose slots
+   changed, yet its bytes equal a cold encoding of the same state.  Random
+   inserts (bursts that span pages, some carrying idempotency tokens),
+   updates, deletes and rolled-back transactions (which shrink the heap
+   tail again) run against a durable engine checkpointing every third
+   commit, with explicit checkpoints, crash-restarts and self-installed
+   snapshots in between.  Whenever the log is empty the checkpoint store
+   must describe the live state: installed into a fresh engine it yields
+   the same fingerprint, LSN, transaction-id mark and tokens, and that
+   fresh engine, whose page cache is empty, re-encodes it to the same
+   bytes.  Every crash-restart leaves the fingerprint unchanged. *)
+let fuzz_checkpoint_equivalence =
+  QCheck.Test.make ~count:200 ~name:"incremental checkpoint = cold encoding"
+    QCheck.(
+      list_of_size Gen.(5 -- 60) (pair (int_bound 7) (int_bound 1000))
+      |> set_print (fun ops ->
+             String.concat " "
+               (List.map (fun (k, n) -> Printf.sprintf "%d:%d" k n) ops)))
+    (fun ops ->
+      let fresh () =
+        let db = Db.create () in
+        Db.enable_durability ~checkpoint_every:3 ~wal:(Wal.mem ())
+          ~checkpoint:(Wal.mem ()) db;
+        db
+      in
+      let ck = Wal.mem () in
+      let db = Db.create () in
+      Db.enable_durability ~checkpoint_every:3 ~wal:(Wal.mem ()) ~checkpoint:ck
+        db;
+      List.iter
+        (fun name ->
+          ignore
+            (Db.exec_sql db
+               (Printf.sprintf
+                  "CREATE TABLE %s (id INT NOT NULL, v TEXT, PRIMARY KEY (id))"
+                  name)))
+        [ "a"; "b" ];
+      let next_id = ref 0 and tokens = ref [] in
+      let sql s = ignore (Db.exec_sql db s) in
+      let table n = if n mod 2 = 0 then "a" else "b" in
+      let insert_burst n =
+        for _ = 0 to n mod 40 do
+          incr next_id;
+          sql
+            (Printf.sprintf "INSERT INTO %s (id, v) VALUES (%d, 'v%d')"
+               (table n) !next_id n)
+        done
+      in
+      let check_store step =
+        let cold = fresh () in
+        let bytes = Wal.contents ck in
+        if not (Db.install_snapshot cold bytes) then
+          QCheck.Test.fail_reportf "step %d: checkpoint frame is corrupt" step;
+        if Db.fingerprint cold <> Db.fingerprint db then
+          QCheck.Test.fail_reportf "step %d: checkpoint holds a stale heap"
+            step;
+        if
+          Db.current_lsn cold <> Db.current_lsn db
+          || Db.next_txn_id cold <> Db.next_txn_id db
+          || List.exists
+               (fun k -> Db.token_applied cold k <> Db.token_applied db k)
+               !tokens
+        then
+          QCheck.Test.fail_reportf "step %d: checkpoint metadata differs" step;
+        if Db.snapshot cold <> bytes then
+          QCheck.Test.fail_reportf "step %d: bytes differ from a cold encoding"
+            step
+      in
+      List.iteri
+        (fun step (kind, n) ->
+          (match kind with
+          | 0 -> insert_burst n
+          | 1 ->
+              let token = Printf.sprintf "tok-%d" step in
+              tokens := token :: !tokens;
+              Db.atomically ~token db (fun () -> insert_burst n)
+          | 2 ->
+              sql
+                (Printf.sprintf "UPDATE %s SET v = 'u%d' WHERE id = %d"
+                   (table n) step
+                   (n mod (!next_id + 1)))
+          | 3 ->
+              sql
+                (Printf.sprintf "DELETE FROM %s WHERE id = %d" (table n)
+                   (n mod (!next_id + 1)))
+          | 4 ->
+              let saved = !next_id in
+              sql "BEGIN";
+              insert_burst n;
+              sql
+                (Printf.sprintf "UPDATE %s SET v = 'x' WHERE id = %d"
+                   (table (n + 1))
+                   (n mod (saved + 1)));
+              sql "ROLLBACK";
+              next_id := saved
+          | 5 -> Db.checkpoint_now db
+          | 6 ->
+              let before = Db.fingerprint db in
+              Db.crash_restart db;
+              if Db.fingerprint db <> before then
+                QCheck.Test.fail_reportf "step %d: crash-restart lost state"
+                  step
+          | _ ->
+              let before = Db.fingerprint db in
+              if not (Db.install_snapshot db (Db.snapshot db)) then
+                QCheck.Test.fail_reportf "step %d: snapshot did not install"
+                  step;
+              if Db.fingerprint db <> before then
+                QCheck.Test.fail_reportf "step %d: snapshot changed the state"
+                  step);
+          if Db.wal_size db = 0 then check_store step)
+        ops;
+      true)
+
 (* The recovery counters are per-call deltas: each crash reports only the
    work replayed beyond the previous recovery's watermark, and a checkpoint
    (which truncates the log) resets it. *)
@@ -493,6 +649,9 @@ let () =
             test_wal_garbage_resistant;
           QCheck_alcotest.to_alcotest fuzz_wal_append_after_recovery;
           QCheck_alcotest.to_alcotest fuzz_two_stream_isolation;
+          Alcotest.test_case "checksum matches bytewise adler-32" `Quick
+            test_checksum_reference;
+          QCheck_alcotest.to_alcotest fuzz_checksum_combine;
         ] );
       ( "recovery",
         [
@@ -510,6 +669,7 @@ let () =
           Alcotest.test_case "no durability wipes" `Quick
             test_crash_without_durability_wipes;
           Alcotest.test_case "file store" `Quick test_file_store_roundtrip;
+          QCheck_alcotest.to_alcotest fuzz_checkpoint_equivalence;
         ] );
       ( "crash injection",
         [
