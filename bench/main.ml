@@ -135,6 +135,46 @@ let micro_tests () =
       checksum;
     ]
 
+(* The same checkpoint on an engine whose durable registry holds 2000
+   idempotency tokens, shaped like the served workload's (["s<session>:
+   qs-batch-<n>"] over 32 sessions), and whose 8 dirtying commits each
+   carry a fresh one, as every write batch does.  The registry is never
+   pruned, so it grows by 8 tokens per run: this test runs a fixed sample
+   schedule (20 samples, 210 runs, ending at 3680 tokens) rather than a
+   time quota, so every build measures the same registry sizes. *)
+let token_checkpoint_test () =
+  let open Bechamel in
+  let db = Sloth_storage.Database.create () in
+  Sloth_workload.Tpcc.populate db;
+  Sloth_storage.Database.enable_durability ~checkpoint_every:0
+    ~wal:(Sloth_storage.Wal.mem ()) ~checkpoint:(Sloth_storage.Wal.mem ()) db;
+  let next = ref 0 in
+  let commit stmt =
+    let token = Printf.sprintf "s%d:qs-batch-%d" (!next mod 32) (!next / 32) in
+    incr next;
+    Sloth_storage.Database.atomically ~token db (fun () ->
+        ignore (Sloth_storage.Database.exec db stmt))
+  in
+  let updates =
+    Array.init 24 (fun i ->
+        Sloth_sql.Parser.parse
+          (Printf.sprintf "UPDATE tpcc_customer SET id = id WHERE id = %d"
+             ((i * 97 mod 1200) + 1)))
+  in
+  for i = 1 to 2000 do
+    commit updates.(i mod Array.length updates)
+  done;
+  Sloth_storage.Database.checkpoint_now db;
+  Test.make_grouped ~name:"sloth"
+    [
+      Test.make ~name:"checkpoint (TPC-C, 8 commits dirty, 2000 tokens)"
+        (Staged.stage (fun () ->
+             for _ = 1 to 8 do
+               commit updates.(!next mod Array.length updates)
+             done;
+             Sloth_storage.Database.checkpoint_now db));
+    ]
+
 let micro () =
   Report.section "Microbenchmarks (real wall-clock, Bechamel)";
   let open Bechamel in
@@ -145,10 +185,18 @@ let micro () =
   let cfg =
     Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true ()
   in
-  let raw = Benchmark.all cfg instances (micro_tests ()) in
-  let results = Analyze.all ols (List.hd instances) raw in
-  Hashtbl.iter
-    (fun name ols_result ->
+  let fixed =
+    Benchmark.cfg ~limit:20 ~quota:(Time.second 60.) ~stabilize:true ()
+  in
+  let results =
+    List.concat_map
+      (fun (cfg, tests) ->
+        let raw = Benchmark.all cfg instances tests in
+        List.of_seq (Hashtbl.to_seq (Analyze.all ols (List.hd instances) raw)))
+      [ (cfg, micro_tests ()); (fixed, token_checkpoint_test ()) ]
+  in
+  List.iter
+    (fun (name, ols_result) ->
       match Analyze.OLS.estimates ols_result with
       | Some [ ns ] -> Printf.printf "  %-40s %10.1f ns/run\n" name ns
       | _ -> Printf.printf "  %-40s (no estimate)\n" name)

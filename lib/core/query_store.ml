@@ -20,7 +20,9 @@ exception Query_failed of query_id * string
 type entry = {
   stmt : Sloth_sql.Ast.stmt;
   sql : string;  (* canonical text, for display and tracing *)
-  key : string;  (* normalized canonical text, the dedup key *)
+  key : string;
+      (* normalized canonical text, the dedup key; "" for a write, which
+         never sits in the pending batch and so is never compared *)
   mutable result : Sloth_storage.Database.outcome option;
   mutable error : string option;  (* isolated poison query, or lost batch *)
 }
@@ -63,10 +65,9 @@ let emit t event = match t.tracer with Some f -> f event | None -> ()
 
 let entry t id = Hashtbl.find t.entries id
 
-let fresh_id t stmt sql =
+let fresh_id t stmt sql ~key =
   let id = t.next_id in
   t.next_id <- id + 1;
-  let key = Sloth_sql.Normalize.key stmt in
   Hashtbl.replace t.entries id { stmt; sql; key; result = None; error = None };
   id
 
@@ -155,7 +156,7 @@ let register t stmt =
   if Sloth_sql.Ast.is_write stmt then begin
     (* Writes are never deferred: flush pending reads together with the
        write in a single round trip (reads first, preserving order). *)
-    let id = fresh_id t stmt sql in
+    let id = fresh_id t stmt sql ~key:"" in
     emit t (Write_through (id, sql));
     let ids = id :: t.batch in
     t.batch <- [];
@@ -177,7 +178,7 @@ let register t stmt =
         emit t (Dedup_hit (id, sql));
         id
     | None ->
-        let id = fresh_id t stmt sql in
+        let id = fresh_id t stmt sql ~key in
         emit t (Registered (id, sql));
         t.batch <- id :: t.batch;
         (match t.policy with

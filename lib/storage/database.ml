@@ -25,6 +25,111 @@ type recovery_stats = {
   recovery_ms : float;
 }
 
+(* The durable registry of applied idempotency tokens: one sorted set of
+   tokens (ascending [String.compare], no duplicates) cut into pages.  A
+   page caches its checkpoint encoding, the [Wal.Codec.put_string] of each
+   token and the Adler-32 of those bytes, so a checkpoint re-encodes only
+   the pages that gained a token since it last ran.  Pages are immutable:
+   an insert replaces the one page it lands in, splitting it in two when it
+   would exceed [page_max] tokens.  Lookups and inserts binary-search the
+   pages' first tokens, then the page. *)
+module Tokens = struct
+  type page = { keys : string array; enc : (string * int) Lazy.t }
+  type t = { mutable pages : page array }
+
+  (* A full page splits into two of half this size, and a loaded registry
+     is cut into pages of half this size, so every page has room to grow. *)
+  let page_max = 128
+
+  let page keys =
+    let enc =
+      lazy
+        (let b = Buffer.create (Array.length keys * 24) in
+         Array.iter (Wal.Codec.put_string b) keys;
+         let s = Buffer.contents b in
+         (s, Wal.checksum s))
+    in
+    { keys; enc }
+
+  let create () = { pages = [||] }
+  let reset t = t.pages <- [||]
+
+  (* The length of the prefix of [0, n) on which [below] holds. *)
+  let prefix below n =
+    let lo = ref 0 and hi = ref n in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if below mid then lo := mid + 1 else hi := mid
+    done;
+    !lo
+
+  (* The page [k] belongs to: the last whose first token is <= [k], or the
+     first page when [k] precedes every token.  The registry is non-empty. *)
+  let page_of t k =
+    let n =
+      prefix
+        (fun i -> String.compare t.pages.(i).keys.(0) k <= 0)
+        (Array.length t.pages)
+    in
+    max 0 (n - 1)
+
+  (* [k]'s position in [keys], and whether it is there. *)
+  let locate keys k =
+    let n = Array.length keys in
+    let i = prefix (fun i -> String.compare keys.(i) k < 0) n in
+    (i, i < n && String.equal keys.(i) k)
+
+  let mem t k =
+    Array.length t.pages > 0 && snd (locate t.pages.(page_of t k).keys k)
+
+  let add t k =
+    if Array.length t.pages = 0 then t.pages <- [| page [| k |] |]
+    else
+      let p = page_of t k in
+      let keys = t.pages.(p).keys in
+      let i, present = locate keys k in
+      if not present then begin
+        let n = Array.length keys + 1 in
+        let keys =
+          Array.init n (fun j ->
+              if j < i then keys.(j) else if j = i then k else keys.(j - 1))
+        in
+        (if n <= page_max then t.pages.(p) <- page keys
+         else
+           let h = n / 2 and np = Array.length t.pages in
+           let halves = [| Array.sub keys 0 h; Array.sub keys h (n - h) |] in
+           t.pages <-
+             Array.concat
+               [
+                 Array.sub t.pages 0 p;
+                 Array.map page halves;
+                 Array.sub t.pages (p + 1) (np - p - 1);
+               ])
+      end
+
+  (* Replace the registry by [keys], which must be strictly ascending (a
+     checkpoint's token section): raises [Wal.Codec.Corrupt] otherwise. *)
+  let load t keys =
+    let n = Array.length keys in
+    for i = 1 to n - 1 do
+      if String.compare keys.(i - 1) keys.(i) >= 0 then
+        raise Wal.Codec.Corrupt
+    done;
+    let fill = page_max / 2 in
+    t.pages <-
+      Array.init
+        ((n + fill - 1) / fill)
+        (fun p -> page (Array.sub keys (p * fill) (min fill (n - (p * fill)))))
+
+  let count t =
+    Array.fold_left (fun n p -> n + Array.length p.keys) 0 t.pages
+
+  (* The registry's checkpoint encoding, one (bytes, checksum) piece per
+     page, without the count that precedes it. *)
+  let pieces t =
+    Array.fold_right (fun p acc -> Lazy.force p.enc :: acc) t.pages []
+end
+
 (* Durability state: a redo log appended at commit, a checkpoint store
    overwritten every [checkpoint_every] commits, and the durable registry
    of applied idempotency tokens. *)
@@ -35,7 +140,7 @@ type dur = {
   mutable commits_since_ck : int;
   mutable next_txn : int;
   mutable lsn : int;  (* committed WAL chunks ever appended (log sequence #) *)
-  tokens : (string, unit) Hashtbl.t;
+  tokens : Tokens.t;
   prepared : (int, string option) Hashtbl.t;
       (* gtid -> idempotency token of transactions forced by dtxn_prepare
          and still awaiting their phase-2 decision *)
@@ -175,10 +280,12 @@ let wal_ddl t record =
    state wins.
 
    It is built as pieces: per table a header, then the heap in pages of
-   [page_slots] slots.  A page is re-encoded only when one of its slots
-   changed since the last checkpoint, and the frame checksum is combined
-   from the per-piece checksums, so a checkpoint costs what changed plus
-   one pointer comparison per slot.  Slots are compared by physical
+   [page_slots] slots; then the token count, the registry's pages (see
+   [Tokens]) and the two marks.  A heap page is re-encoded only when one
+   of its slots changed since the last checkpoint, a token page only when
+   it gained a token, and the frame checksum is combined from the
+   per-piece checksums, so a checkpoint costs what changed plus one
+   pointer comparison per slot.  Slots are compared by physical
    equality: every [Table] write stores a fresh slot and no stored row is
    ever mutated in place (see table.mli), so an unchanged slot value means
    unchanged bytes. *)
@@ -251,12 +358,11 @@ let checkpoint_pieces t d =
              (heap_pages d name tbl) [])
       t.order
   in
-  Wal.Codec.put_int b (Hashtbl.length d.tokens);
-  let toks = Hashtbl.fold (fun k () acc -> k :: acc) d.tokens [] in
-  List.iter (Wal.Codec.put_string b) (List.sort String.compare toks);
+  Wal.Codec.put_int b (Tokens.count d.tokens);
+  let count = take () in
   Wal.Codec.put_int b d.next_txn;
   Wal.Codec.put_int b d.lsn;
-  tables @ [ take () ]
+  tables @ (count :: Tokens.pieces d.tokens) @ [ take () ]
 
 let write_checkpoint t d =
   Wal.write_frame d.ck (checkpoint_pieces t d);
@@ -310,7 +416,7 @@ let wal_commit ?token t entries =
           match token with
           | None -> []
           | Some k ->
-              Hashtbl.replace d.tokens k ();
+              Tokens.add d.tokens k;
               [ Wal.Token k ]
         in
         let chunk = (Wal.Begin id :: sets) @ toks @ [ Wal.Commit id ] in
@@ -354,9 +460,11 @@ let load_checkpoint_payload t d payload =
       install_table t (Schema.name schema) tbl
     done;
     let n_tokens = Wal.Codec.get_int r in
-    for _ = 1 to n_tokens do
-      Hashtbl.replace d.tokens (Wal.Codec.get_string r) ()
-    done;
+    (* every token takes at least its 8-byte length *)
+    if n_tokens < 0 || n_tokens > String.length payload / 8 then
+      raise Wal.Codec.Corrupt;
+    Tokens.load d.tokens
+      (Array.init n_tokens (fun _ -> Wal.Codec.get_string r));
     d.next_txn <- Wal.Codec.get_int r;
     d.lsn <- Wal.Codec.get_int r;
     true
@@ -365,7 +473,7 @@ let load_checkpoint_payload t d payload =
        load and replay the log from genesis. *)
     Hashtbl.reset t.tables;
     t.order <- [];
-    Hashtbl.reset d.tokens;
+    Tokens.reset d.tokens;
     d.next_txn <- 0;
     d.lsn <- 0;
     false
@@ -392,7 +500,7 @@ let apply_record t d = function
             else Table.create_index tbl column
           with Not_found -> ())
       | None -> ())
-  | Wal.Token k -> Hashtbl.replace d.tokens k ()
+  | Wal.Token k -> Tokens.add d.tokens k
   | Wal.Begin _ | Wal.Commit _ | Wal.Prepare _ | Wal.Decision _ -> ()
 
 let recover t d =
@@ -401,7 +509,7 @@ let recover t d =
   Hashtbl.reset t.tables;
   t.order <- [];
   t.txn <- None;
-  Hashtbl.reset d.tokens;
+  Tokens.reset d.tokens;
   Hashtbl.reset d.prepared;
   Hashtbl.reset d.pending_repl;
   Hashtbl.reset d.pages;
@@ -507,7 +615,7 @@ let enable_durability ?(checkpoint_every = 8) ~wal ~checkpoint t =
       commits_since_ck = 0;
       next_txn = 0;
       lsn = 0;
-      tokens = Hashtbl.create 32;
+      tokens = Tokens.create ();
       prepared = Hashtbl.create 8;
       ship_prepares = false;
       pending_repl = Hashtbl.create 8;
@@ -534,7 +642,7 @@ let crash_restart t =
 
 let last_recovery t = Option.bind t.dur (fun d -> d.last_recovery)
 let token_applied t k =
-  match t.dur with None -> false | Some d -> Hashtbl.mem d.tokens k
+  match t.dur with None -> false | Some d -> Tokens.mem d.tokens k
 
 let wal_size t =
   match t.dur with None -> 0 | Some d -> Wal.length d.wal
@@ -593,7 +701,7 @@ let install_snapshot t framed =
           Hashtbl.reset t.tables;
           t.order <- [];
           t.txn <- None;
-          Hashtbl.reset d.tokens;
+          Tokens.reset d.tokens;
           Hashtbl.reset d.prepared;
           Hashtbl.reset d.pending_repl;
           Hashtbl.reset d.pages;
@@ -796,7 +904,7 @@ let dtxn_commit t ~gtid =
           Txn.commit txn;
           t.txn <- None;
           (match token with
-          | Some k -> Hashtbl.replace d.tokens k ()
+          | Some k -> Tokens.add d.tokens k
           | None -> ());
           Hashtbl.remove d.prepared gtid;
           d.lsn <- d.lsn + 1;
@@ -830,7 +938,7 @@ let dtxn_commit_1pc ?token t ~gtid =
           match token with
           | None -> []
           | Some k ->
-              Hashtbl.replace d.tokens k ();
+              Tokens.add d.tokens k;
               [ Wal.Token k ]
         in
         let chunk = (Wal.Begin gtid :: sets) @ toks @ [ Wal.Commit gtid ] in

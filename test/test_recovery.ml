@@ -594,6 +594,231 @@ let fuzz_checkpoint_equivalence =
         ops;
       true)
 
+(* --- token registry -------------------------------------------------------- *)
+
+module Sset = Set.Make (String)
+
+(* The checkpoint's token section as the registry must encode it: the count
+   of distinct tokens, then each once in ascending order. *)
+let reference_token_section tokens =
+  let sorted = List.sort_uniq String.compare tokens in
+  let b = Buffer.create 1024 in
+  Wal.Codec.put_int b (List.length sorted);
+  List.iter (Wal.Codec.put_string b) sorted;
+  Buffer.contents b
+
+(* A checkpoint payload ends with the token section and then the
+   transaction-id and LSN marks, 8 bytes each. *)
+let token_section_of framed expected =
+  match Wal.Codec.unframe framed 0 with
+  | None -> None
+  | Some (payload, _) ->
+      let len = String.length expected and plen = String.length payload in
+      if plen < len + 16 then None
+      else Some (String.sub payload (plen - 16 - len) len)
+
+(* Property: the sorted, paged token registry encodes exactly the tokens
+   committed so far and answers membership for exactly those.  Histories
+   mix single fresh tokens, duplicates, ascending bursts long enough to
+   split pages, descending bursts that always land before the first token,
+   tokens that are prefixes of one another, commits through the one-phase
+   and two-phase participant paths, explicit checkpoints, crash-restarts
+   and self-installed snapshots.  A follower fed by the commit tap (with
+   prepares shipped) applies every token through the replication path.
+   After every step both engines' snapshot token sections equal the
+   reference encoding, and so does the checkpoint store whenever a
+   checkpoint has just truncated the log.  After crashes, snapshots and at
+   the end, [token_applied] agrees with the reference for every committed
+   token and for near misses. *)
+let fuzz_token_registry =
+  QCheck.Test.make ~count:150 ~name:"paged token registry = sorted set"
+    QCheck.(
+      list_of_size Gen.(5 -- 50) (pair (int_bound 8) (int_bound 1000))
+      |> set_print (fun ops ->
+             String.concat " "
+               (List.map (fun (k, n) -> Printf.sprintf "%d:%d" k n) ops)))
+    (fun ops ->
+      let durable ck =
+        let db = Db.create () in
+        Db.enable_durability ~checkpoint_every:4 ~wal:(Wal.mem ())
+          ~checkpoint:ck db;
+        db
+      in
+      let ck = Wal.mem () in
+      let db = durable ck and follower = durable (Wal.mem ()) in
+      Db.set_ship_prepares db true;
+      Db.set_commit_tap db
+        (Some (fun ~lsn recs -> Db.apply_replicated follower ~lsn recs));
+      let committed = ref [] and gtid = ref 0 in
+      let prefixes = [| ""; "s1:"; "s1:qs-batch-"; "s12:qs-batch-"; "t" |] in
+      let token n = prefixes.(n mod Array.length prefixes) ^ string_of_int n in
+      let commit k =
+        committed := k :: !committed;
+        Db.atomically ~token:k db (fun () -> ())
+      in
+      let next_gtid () =
+        gtid := max (!gtid + 1) (Db.next_txn_id db);
+        !gtid
+      in
+      let check_sections step =
+        let expected = reference_token_section !committed in
+        let check what framed =
+          if token_section_of framed expected <> Some expected then
+            QCheck.Test.fail_reportf "step %d: %s token section differs" step
+              what
+        in
+        check "primary snapshot" (Db.snapshot db);
+        check "follower snapshot" (Db.snapshot follower);
+        if Db.wal_size db = 0 && not (Wal.is_empty ck) then
+          check "checkpoint store" (Wal.contents ck)
+      in
+      let check_membership step =
+        let reference = Sset.of_list !committed in
+        Sset.iter
+          (fun k ->
+            List.iter
+              (fun probe ->
+                let expected = Sset.mem probe reference in
+                if
+                  Db.token_applied db probe <> expected
+                  || Db.token_applied follower probe <> expected
+                then
+                  QCheck.Test.fail_reportf "step %d: token_applied %S <> %b"
+                    step probe expected)
+              [ k; k ^ "0"; String.sub k 0 (String.length k - 1) ])
+          reference
+      in
+      List.iteri
+        (fun step (kind, n) ->
+          (match kind with
+          | 0 -> commit (token n)
+          | 1 -> (
+              match !committed with
+              | [] -> commit (token n)
+              | l -> commit (List.nth l (n mod List.length l)))
+          | 2 ->
+              (* ascending: consecutive tokens crowd one page until it splits *)
+              let base = token n in
+              for j = 0 to n mod 150 do
+                commit (Printf.sprintf "%s-%04d" base j)
+              done
+          | 3 ->
+              (* descending below everything: each lands first in page 0 *)
+              for j = n mod 150 downto 0 do
+                commit (Printf.sprintf "!%04d-%d" j step)
+              done
+          | 4 ->
+              let k = token n in
+              committed := k :: !committed;
+              Db.dtxn_begin db;
+              Db.dtxn_commit_1pc ~token:k db ~gtid:(next_gtid ())
+          | 5 ->
+              let k = token n and g = next_gtid () in
+              committed := k :: !committed;
+              Db.dtxn_begin db;
+              if not (Db.dtxn_prepare ~token:k db ~gtid:g) then
+                QCheck.Test.fail_reportf "step %d: tokened prepare voted no"
+                  step;
+              Db.dtxn_commit db ~gtid:g
+          | 6 -> Db.checkpoint_now db
+          | 7 ->
+              Db.crash_restart db;
+              check_membership step
+          | _ ->
+              if not (Db.install_snapshot db (Db.snapshot db)) then
+                QCheck.Test.fail_reportf "step %d: snapshot did not install"
+                  step;
+              check_membership step);
+          check_sections step)
+        ops;
+      check_membership (List.length ops);
+      true)
+
+(* A checksum-valid payload whose token count is negative or larger than
+   the payload could hold is corrupt: the install fails cleanly instead of
+   raising or allocating for it. *)
+let test_corrupt_token_count () =
+  List.iter
+    (fun n ->
+      let b = Buffer.create 32 in
+      List.iter (Wal.Codec.put_int b) [ 0; n; 0; 0 ];
+      let db = Db.create () in
+      Db.enable_durability ~wal:(Wal.mem ()) ~checkpoint:(Wal.mem ()) db;
+      Alcotest.(check bool)
+        (Printf.sprintf "token count %d" n)
+        false
+        (let payload = Buffer.contents b in
+         Db.install_snapshot db
+           (Wal.Codec.frame_pieces [ (payload, Wal.checksum payload) ])))
+    [ -1; 5; max_int ]
+
+(* Golden checkpoint: the MD5 of the checkpoint store after a fixed history
+   is pinned, so a change to how checkpoints are built cannot change their
+   bytes unnoticed.  The history covers two tables with a secondary and an
+   ordered index, several heap pages, NULLs, floats, updates and deletes,
+   a crash-restart and a self-installed snapshot, and some three hundred
+   idempotency tokens with shared prefixes committed through the
+   single-engine, one-phase and two-phase paths. *)
+let golden_checkpoint_md5 = "31128c62f1f877e9954470929d956da2"
+
+let test_golden_checkpoint () =
+  let ck = Wal.mem () in
+  let db = Db.create () in
+  Db.enable_durability ~checkpoint_every:5 ~wal:(Wal.mem ()) ~checkpoint:ck db;
+  let sql fmt = Printf.ksprintf (fun s -> ignore (Db.exec_sql db s)) fmt in
+  sql
+    "CREATE TABLE acct (id INT NOT NULL, owner TEXT, bal FLOAT, PRIMARY KEY \
+     (id))";
+  sql
+    "CREATE TABLE ev (id INT NOT NULL, acct INT NOT NULL, note TEXT, PRIMARY \
+     KEY (id))";
+  Db.create_index db ~table:"ev" ~column:"acct";
+  Db.create_ordered_index db ~table:"acct" ~column:"bal";
+  for i = 1 to 150 do
+    Db.atomically
+      ~token:(Printf.sprintf "s%d:qs-batch-%d" (i mod 7) (i / 7))
+      db
+      (fun () ->
+        if i mod 5 = 0 then
+          sql "INSERT INTO acct (id, owner, bal) VALUES (%d, NULL, %d.5)" i
+            (i * 37 mod 101)
+        else
+          sql "INSERT INTO acct (id, owner, bal) VALUES (%d, 'o%d', %d.25)" i
+            i (i * 37 mod 101);
+        sql "INSERT INTO ev (id, acct, note) VALUES (%d, %d, 'n%d')" i
+          ((i * 13 mod 150) + 1)
+          i)
+  done;
+  for i = 1 to 60 do
+    Db.atomically ~token:(Printf.sprintf "s%d:upd-%d" (i mod 3) i) db
+      (fun () ->
+        if i mod 4 = 0 then sql "DELETE FROM ev WHERE id = %d" (i * 2)
+        else sql "UPDATE acct SET bal = %d.75 WHERE id = %d" i (i * 2))
+  done;
+  Db.crash_restart db;
+  for i = 1 to 80 do
+    Db.dtxn_begin db;
+    sql "UPDATE acct SET owner = 'x%d' WHERE id = %d" i i;
+    let gtid = 1000 + i in
+    if i mod 2 = 0 then
+      Db.dtxn_commit_1pc ~token:(Printf.sprintf "2pc-%03d" i) db ~gtid
+    else begin
+      ignore
+        (Db.dtxn_prepare ~token:(Printf.sprintf "2pc-%03d" i) db ~gtid);
+      Db.dtxn_commit db ~gtid
+    end
+  done;
+  if not (Db.install_snapshot db (Db.snapshot db)) then
+    Alcotest.fail "snapshot did not install";
+  for i = 1 to 20 do
+    Db.atomically ~token:(Printf.sprintf "s1:late-%d" i) db (fun () ->
+        sql "INSERT INTO ev (id, acct, note) VALUES (%d, %d, NULL)" (500 + i) i)
+  done;
+  Db.checkpoint_now db;
+  Alcotest.(check string)
+    "checkpoint digest" golden_checkpoint_md5
+    (Digest.to_hex (Digest.string (Wal.contents ck)))
+
 (* The recovery counters are per-call deltas: each crash reports only the
    work replayed beyond the previous recovery's watermark, and a checkpoint
    (which truncates the log) resets it. *)
@@ -670,6 +895,11 @@ let () =
             test_crash_without_durability_wipes;
           Alcotest.test_case "file store" `Quick test_file_store_roundtrip;
           QCheck_alcotest.to_alcotest fuzz_checkpoint_equivalence;
+          QCheck_alcotest.to_alcotest fuzz_token_registry;
+          Alcotest.test_case "golden checkpoint bytes" `Quick
+            test_golden_checkpoint;
+          Alcotest.test_case "corrupt token count" `Quick
+            test_corrupt_token_count;
         ] );
       ( "crash injection",
         [
